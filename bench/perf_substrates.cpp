@@ -82,7 +82,9 @@ double bench_event_queue_churn(int rounds, std::uint64_t* ops_out) {
     for (int i = 0; i < 1000; ++i) {
       if (i % 4 != 0) handles[static_cast<size_t>(i)].cancel();
     }
-    while (!q.empty()) q.pop().second();
+    sim::Time t;
+    sim::EventQueue::Callback cb;
+    while (q.pop_next(sim::Time::max(), &t, &cb)) cb();
     ops += 2000;  // schedules + (cancels or pops)
   }
   const double ms = ms_since(t0);

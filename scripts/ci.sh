@@ -66,17 +66,12 @@ for e in build/examples/*; do
 done
 
 echo "== cli smoke"
-# Argument validation: nonsensical sampling intervals must be rejected with
-# the usage exit code, like the erasure-geometry flags.
-if ./build/tools/enviromic_cli --scenario voice --trace-sample-interval 0 \
-    > /dev/null 2>&1; then
-  echo "FAIL: --trace-sample-interval 0 accepted"; exit 1
-fi
-./build/tools/enviromic_cli --scenario voice --trace-sample-interval -5 \
-  > /dev/null 2>&1 && { echo "FAIL: negative interval accepted"; exit 1; }
+# The trace's own counter sampler is gone (telemetry series feed the trace's
+# counter tracks); its old flag is an unknown option with the usage exit code.
 rc=0
-./build/tools/enviromic_cli --trace-sample-interval -1 > /dev/null 2>&1 || rc=$?
-[ "$rc" -eq 2 ] || { echo "FAIL: bad interval should exit 2, got $rc"; exit 1; }
+./build/tools/enviromic_cli --scenario voice --trace-sample-interval 30 \
+  > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] || { echo "FAIL: removed sampler flag should exit 2, got $rc"; exit 1; }
 # Strict numeric parsing: non-numeric, trailing-junk, and out-of-range
 # arguments exit 2 with a diagnostic (atoll/atof silently accepted these).
 for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
@@ -184,16 +179,19 @@ for bad in "--seed garbage" "--seeds 0" "--scenario bogus" \
 done
 
 echo "== traced chaos smoke"
+# Trace plus telemetry series: the series land in the Chrome trace as ph:"C"
+# counter tracks next to the spans and instants.
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 600 --seed 5 --log-level off \
-  --trace build/trace_smoke.json --trace-sample-interval 30 > /dev/null
+  --trace build/trace_smoke.json \
+  --series build/trace_series.csv --series-interval 30 > /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json, sys
 t = json.load(open("build/trace_smoke.json"))
 evs = t["traceEvents"]
 kinds = {e.get("ph") for e in evs}
-if not evs or not {"X", "i"} <= kinds:
+if not evs or not {"X", "i", "C"} <= kinds:
     sys.exit(f"FAIL: trace smoke has {len(evs)} events, phases {kinds}")
 print(f"trace smoke OK: {len(evs)} events, phases {sorted(kinds)}")
 EOF
@@ -226,11 +224,14 @@ if ts != sorted(ts) or len(set(ts)) != len(ts):
 print(f"series smoke OK: {len(body)} samples x {len(header) - 1} series")
 EOF
 fi
-# Bad sampling intervals and probe specs get the usage exit code, like the
-# trace-sample-interval rows above; a fleet series interval without a
-# directory (or vice versa) is rejected the same way.
+# Bad sampling intervals and probe specs get the usage exit code, and so do
+# the telemetry flags on a scenario other than chaos; a fleet series interval
+# without a directory (or vice versa) is rejected the same way.
 for bad in "--series-interval 0" "--series-interval -5" \
-    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low"; do
+    "--series-interval fast" "--probe nope=1" "--probe battery_floor=low" \
+    "--scenario indoor --series build/x.csv" \
+    "--scenario outdoor --probe battery_floor=1e9" \
+    "--scenario mobile --series-interval 5"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -247,7 +248,7 @@ cmake -B build-asan -G Ninja \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -O1 -fno-omit-frame-pointer"
 cmake --build build-asan
 ctest --test-dir build-asan --output-on-failure \
-  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer"
+  -R "FaultPlan|FaultSpecParse|ChannelFaults|CrashReboot|CrashMidProtocol|Chaos|Recovery|BulkTransfer|GoldenDigest"
 ./build-asan/tools/enviromic_cli --faults crash=0.5,downtime=45,burst=1 \
   --horizon 600 --seed 7 > /dev/null
 

@@ -37,17 +37,12 @@ class Detector {
   Detector(sim::Scheduler& sched, const Microphone& mic, sim::Rng rng,
            DetectorConfig cfg = {});
 
-  /// Begin polling. Must be called once; polling runs for the whole sim.
+  /// First poll, inline. Must be called once. The detector keeps no timer
+  /// of its own: its owner (World's detector pump) calls poll_once() every
+  /// poll_interval after that.
   void start();
 
-  /// External-pump mode: the owner (World) drives poll_once() from a shared
-  /// per-interval timer instead of this detector keeping its own standing
-  /// scheduler event. Must be set before start().
-  void set_external_pump(bool on) { external_pump_ = on; }
-  bool external_pump() const { return external_pump_; }
-
-  /// One detector poll with no re-arm — the pump's tick. start() performs
-  /// the first poll inline in either mode.
+  /// One detector poll — the pump's tick.
   void poll_once();
 
   /// Pause/resume polling (recording nodes keep sensing in EnviroMic, so the
@@ -69,8 +64,6 @@ class Detector {
   const DetectorConfig& config() const { return cfg_; }
 
  private:
-  void poll();
-
   sim::Scheduler& sched_;
   const Microphone& mic_;
   sim::Rng rng_;
@@ -78,7 +71,6 @@ class Detector {
   util::Ewma background_;
   bool enabled_ = true;
   bool started_ = false;
-  bool external_pump_ = false;
   bool event_present_ = false;
   double last_signal_ = 0.0;
   sim::Time last_heard_ = sim::Time::zero();

@@ -8,7 +8,6 @@
 #include <map>
 #include <set>
 
-#include "core/balancer.h"
 #include "core/bulk_transfer.h"
 #include "sim/trace.h"
 
@@ -21,15 +20,43 @@ NodeParams paper_node_params(Mode mode, double beta_max) {
   return p;
 }
 
-IndoorRunResult run_indoor(const IndoorRunConfig& cfg) {
+namespace {
+
+/// Paper node defaults with the flash capacity scaled relative to the MicaZ
+/// part (the indoor and chaos worlds both shrink it to raise storage
+/// pressure).
+WorldConfig scaled_flash_world(std::uint64_t seed, Mode mode, double beta_max,
+                               double flash_scale) {
   WorldConfig wc;
-  wc.seed = cfg.seed;
-  wc.node_defaults = paper_node_params(cfg.mode, cfg.beta_max);
-  if (cfg.flash_scale != 1.0) {
+  wc.seed = seed;
+  wc.node_defaults = paper_node_params(mode, beta_max);
+  if (flash_scale != 1.0) {
     wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
         static_cast<double>(wc.node_defaults.flash.capacity_bytes) *
-        cfg.flash_scale);
+        flash_scale);
   }
+  return wc;
+}
+
+/// Flight-recorder post-mortem: the trace ring's tail to stderr and, when
+/// the config names one, to the dump file.
+void dump_flight_recorder(const ChaosRunConfig& cfg) {
+  const auto& trace = sim::Trace::instance();
+  std::cerr << "flight recorder tail (" << cfg.flight_recorder_dump << " of "
+            << trace.total_recorded() << " records)\n";
+  trace.dump_tail(cfg.flight_recorder_dump, std::cerr);
+  if (!cfg.flight_recorder_path.empty()) {
+    std::ofstream out(cfg.flight_recorder_path);
+    if (out) trace.dump_tail(cfg.flight_recorder_dump, out);
+  }
+}
+
+}  // namespace
+
+IndoorRunResult run_indoor(const IndoorRunConfig& cfg) {
+  WorldConfig wc = scaled_flash_world(cfg.seed, cfg.mode, cfg.beta_max,
+                                      cfg.flash_scale);
+  wc.node_defaults.protocol.balance_strategy = cfg.balance_strategy;
   World world(wc);
 
   IndoorRunResult result;
@@ -285,14 +312,8 @@ OutdoorRunResult run_outdoor(const OutdoorRunConfig& cfg) {
 }
 
 ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
-  WorldConfig wc;
-  wc.seed = cfg.seed;
-  wc.node_defaults = paper_node_params(Mode::kFull, cfg.beta_max);
-  if (cfg.flash_scale != 1.0) {
-    wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
-        static_cast<double>(wc.node_defaults.flash.capacity_bytes) *
-        cfg.flash_scale);
-  }
+  WorldConfig wc = scaled_flash_world(cfg.seed, Mode::kFull, cfg.beta_max,
+                                      cfg.flash_scale);
   wc.channel.burst = cfg.burst;
   wc.channel.link_asymmetry_max = cfg.link_asymmetry_max;
   wc.channel.use_spatial_index = cfg.spatial_index;
@@ -397,80 +418,39 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   std::vector<HealthTrip> health_trips;
   std::set<std::string> tripped_names;
 
+  auto series_sample = [&](sim::Time t) {
+    probes.sample(world, t);
+    for (auto& trip : evaluate_health_probes(cfg.health_probes, t)) {
+      // First trip per probe only: a gauge that stays past its threshold
+      // would otherwise dump the recorder once per sample.
+      if (!tripped_names.insert(trip.probe).second) continue;
+      auto& tel = sim::Telemetry::instance();
+      std::cerr << "health probe '" << trip.probe << "' tripped at t="
+                << trip.at.to_seconds() << "s: " << trip.gauge << " = "
+                << trip.value << " vs threshold " << trip.threshold << "\n";
+      const auto win = tel.window(tel.find(trip.gauge), 0, 16);
+      for (const auto& [wt, wv] : win)
+        std::cerr << "  " << trip.gauge << " @" << wt.to_seconds()
+                  << "s = " << wv << "\n";
+      if (sim::Trace::instance().enabled()) dump_flight_recorder(cfg);
+      health_trips.push_back(std::move(trip));
+    }
+  };
+
   world.start();
   // The grace tail lets reboots land and in-flight sessions drain before the
-  // invariants are checked. With a sampling cadence set (trace and/or
-  // telemetry), step the run on the merged cadence and sample at each
-  // boundary — run_until stepping executes the same events in the same order,
-  // so the seeded RNG streams are untouched.
+  // invariants are checked. With a series cadence, step the run on it and
+  // sample at each boundary and at the end — run_until stepping executes the
+  // same events in the same order, so the seeded RNG streams are untouched.
   const sim::Time end_at = cfg.horizon + cfg.grace;
-  const bool trace_sampling =
-      sim::g_trace_enabled && cfg.trace_sample_interval > sim::Time::zero();
-  if (trace_sampling || series_sampling) {
-    auto trace_sample = [&world] {
-      const sim::Time now = world.sched().now();
-      for (std::size_t i = 0; i < world.node_count(); ++i) {
-        Node& n = world.node(i);
-        double ttl = n.balancer().ttl_storage_seconds();
-        if (std::isinf(ttl)) ttl = -1.0;  // sentinel: nothing flowing in
-        sim::trace_instant(now, sim::TraceEvent::kNodeSample, n.id(),
-                           n.store().free_bytes(), n.bulk().frags_in_flight(),
-                           ttl,
-                           i == 0 ? static_cast<double>(world.sched().pending())
-                                  : 0.0);
-      }
-    };
-    auto series_sample = [&](sim::Time t) {
-      probes.sample(world, t);
-      for (auto& trip : evaluate_health_probes(cfg.health_probes, t)) {
-        // First trip per probe only: a gauge that stays past its threshold
-        // would otherwise dump the recorder once per sample.
-        if (!tripped_names.insert(trip.probe).second) continue;
-        auto& tel = sim::Telemetry::instance();
-        std::cerr << "health probe '" << trip.probe << "' tripped at t="
-                  << trip.at.to_seconds() << "s: " << trip.gauge << " = "
-                  << trip.value << " vs threshold " << trip.threshold << "\n";
-        const auto win = tel.window(tel.find(trip.gauge), 0, 16);
-        for (const auto& [wt, wv] : win)
-          std::cerr << "  " << trip.gauge << " @" << wt.to_seconds()
-                    << "s = " << wv << "\n";
-        if (sim::Trace::instance().enabled()) {
-          std::cerr << "flight recorder tail (" << cfg.flight_recorder_dump
-                    << " of " << sim::Trace::instance().total_recorded()
-                    << " records)\n";
-          sim::Trace::instance().dump_tail(cfg.flight_recorder_dump,
-                                           std::cerr);
-          if (!cfg.flight_recorder_path.empty()) {
-            std::ofstream out(cfg.flight_recorder_path);
-            if (out)
-              sim::Trace::instance().dump_tail(cfg.flight_recorder_dump, out);
-          }
-        }
-        health_trips.push_back(std::move(trip));
-      }
-    };
-    const sim::Time never = end_at + sim::Time::seconds_i(1);
-    sim::Time next_trace = trace_sampling ? cfg.trace_sample_interval : never;
-    sim::Time next_series = series_sampling ? series_every : never;
-    while (true) {
-      const sim::Time t = std::min(next_trace, next_series);
-      if (t >= end_at) break;
+  if (series_sampling) {
+    for (sim::Time t = series_every; t < end_at; t += series_every) {
       world.run_until(t);
-      if (t == next_trace) {
-        trace_sample();
-        next_trace += cfg.trace_sample_interval;
-      }
-      if (t == next_series) {
-        series_sample(t);
-        next_series += series_every;
-      }
+      series_sample(t);
     }
-    world.run_until(end_at);
-    if (trace_sampling) trace_sample();
-    if (series_sampling) series_sample(end_at);
-  } else {
-    world.run_until(end_at);
   }
+  world.run_until(end_at);
+  if (series_sampling) series_sample(end_at);
 
   ChaosRunResult r;
   r.health_trips = std::move(health_trips);
@@ -656,15 +636,8 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
 
   if (cfg.flight_recorder && sim::Trace::instance().enabled() &&
       !r.invariants_hold()) {
-    auto& trace = sim::Trace::instance();
-    std::cerr << "chaos invariants FAILED (seed " << cfg.seed
-              << "): flight recorder tail (" << cfg.flight_recorder_dump
-              << " of " << trace.total_recorded() << " records)\n";
-    trace.dump_tail(cfg.flight_recorder_dump, std::cerr);
-    if (!cfg.flight_recorder_path.empty()) {
-      std::ofstream out(cfg.flight_recorder_path);
-      if (out) trace.dump_tail(cfg.flight_recorder_dump, out);
-    }
+    std::cerr << "chaos invariants FAILED (seed " << cfg.seed << ")\n";
+    dump_flight_recorder(cfg);
   }
   if (fr_owns_trace) {
     sim::Trace::instance().disable();

@@ -35,6 +35,9 @@ struct IndoorRunConfig {
   /// the capacity edge, and unmodelled per-sample/metadata overheads decide
   /// whether it saturates; see EXPERIMENTS.md.
   double flash_scale = 0.5;
+  /// Balancing trigger: the paper's local TTL comparison, or the gossiped
+  /// network-mean variant (enviromic_cli --gossip).
+  BalanceStrategy balance_strategy = BalanceStrategy::kLocalGreedy;
 };
 
 struct IndoorRunResult {
@@ -108,8 +111,6 @@ struct OutdoorRunConfig {
   sim::Time horizon = sim::Time::seconds_i(3 * 3600);
   OutdoorPlanConfig plan;
   double beta_max = 2.0;
-  /// Scale factor shrinking the run for tests (horizon and spike windows).
-  double time_scale = 1.0;
 };
 
 struct OutdoorRunResult {
@@ -168,16 +169,12 @@ struct ChaosRunConfig {
   /// return the table in ChaosRunResult::profile. Reads the wall clock only;
   /// the simulated run stays bit-identical.
   bool profile = false;
-  /// With tracing enabled (sim::Trace), emit per-node kNodeSample timeseries
-  /// records (free flash, in-flight fragments, TTL, queue depth) every this
-  /// many simulated seconds; zero disables sampling. Implemented by stepping
-  /// run_until on the sampling cadence, which is RNG-stream neutral.
-  sim::Time trace_sample_interval = sim::Time::zero();
   /// Telemetry plane (sim::Telemetry): when telemetry is enabled and this is
   /// non-zero, bind the standard probes (core/telemetry_probes.h) and sample
-  /// them every this many simulated seconds, again by stepping run_until on
-  /// the cadence — RNG-stream neutral, so a sampled run is bit-identical to
-  /// a dark one. Zero disables sampling.
+  /// them every this many simulated seconds by stepping run_until on the
+  /// cadence — RNG-stream neutral, so a sampled run is bit-identical to a
+  /// dark one. Zero disables sampling. A Chrome-trace export of a traced,
+  /// sampled run draws its counter tracks from these series.
   sim::Time series_interval = sim::Time::zero();
   /// Declarative health probes evaluated at every telemetry sample. When
   /// non-empty and series_interval is zero, sampling runs at a 1 s default

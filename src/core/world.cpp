@@ -50,9 +50,8 @@ void World::start() {
   gt_.set_node_positions(std::move(positions));
   // Coalesce detector polling: group detectors by poll interval (in node
   // order) and drive each group from one repeating pump event. start() then
-  // performs each detector's first poll inline, exactly as self-arming did.
+  // performs each detector's first poll inline.
   for (auto& n : nodes_) {
-    n->detector().set_external_pump(true);
     const sim::Time interval = n->detector().config().poll_interval;
     DetectorPump* pump = nullptr;
     for (auto& p : pumps_) {

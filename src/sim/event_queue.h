@@ -78,27 +78,13 @@ class EventQueue {
   /// the last popped event).
   EventHandle schedule(Time t, Callback cb);
 
-  /// True when no live events remain. May pop tombstones to decide.
-  bool empty();
-
-  /// Time of the earliest live event. Precondition: !empty().
-  Time next_time();
-
-  /// Pop and return the earliest live event. Precondition: !empty().
-  std::pair<Time, Callback> pop();
-
-  /// Fused empty/next_time/pop: pop the earliest live event into (*t, *cb)
-  /// if one exists and its time is <= limit. One pass over the heap front
-  /// instead of three — this is the scheduler main-loop entry point.
+  /// Pop the earliest live event into (*t, *cb) if one exists and its time
+  /// is <= limit; false (and nothing popped) otherwise. This is the only way
+  /// events leave the queue — the scheduler main loop's entry point.
   bool pop_next(Time limit, Time* t, Callback* cb);
 
   /// Number of live (scheduled, not cancelled, not fired) events.
   std::size_t live_count() const { return heap_.size() - *dead_; }
-
-  /// Live events. Historically this returned the raw heap size, silently
-  /// counting cancelled-but-unreclaimed tombstones; it now reports the same
-  /// value as live_count().
-  std::size_t scheduled_count() const { return live_count(); }
 
   /// Total events ever scheduled. Monotone: never decreases, counts
   /// cancelled and fired events alike (it is the insertion sequence number).

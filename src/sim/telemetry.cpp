@@ -152,6 +152,16 @@ std::vector<std::string> Telemetry::column_names() const {
   return names;
 }
 
+void Telemetry::for_each_column(
+    const std::function<void(const std::string&, SeriesScope, std::uint32_t,
+                             const std::vector<double>&)>& fn) const {
+  for (std::size_t ci : ordered_columns()) {
+    const Column& c = columns_[ci];
+    const Series& s = series_[c.series];
+    fn(s.name, s.scope, c.node, c.values);
+  }
+}
+
 void Telemetry::export_csv(std::ostream& out) const {
   const auto order = ordered_columns();
   out << "t_s";

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <functional>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -85,6 +86,14 @@ class Telemetry {
   /// Column display names in export order: registration order, node
   /// ascending within a per-node series ("name" or "name[node]").
   std::vector<std::string> column_names() const;
+
+  /// Visits every column in export order with its series name, scope, node
+  /// id and values (values[i] pairs with times()[i]; NaN = missing). The
+  /// Chrome-trace exporter draws its counter tracks from this.
+  void for_each_column(
+      const std::function<void(const std::string& series, SeriesScope scope,
+                               std::uint32_t node,
+                               const std::vector<double>& values)>& fn) const;
 
   // Exporters. Cells a column never recorded render empty (CSV) or are
   // omitted (JSONL). Both return false (writing nothing further) on I/O

@@ -2,11 +2,14 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <utility>
+
+#include "sim/telemetry.h"
 
 namespace enviromic::sim {
 
@@ -41,7 +44,6 @@ const char* trace_event_name(TraceEvent e) {
     case TraceEvent::kFail: return "fail";
     case TraceEvent::kBrownout: return "brownout";
     case TraceEvent::kClockStep: return "clock_step";
-    case TraceEvent::kNodeSample: return "node_sample";
     case TraceEvent::kCodedEncode: return "coded_encode";
     case TraceEvent::kCodedDecode: return "coded_decode";
     case TraceEvent::kDrainChunk: return "drain_chunk";
@@ -145,10 +147,11 @@ void Trace::dump_tail(std::size_t n, std::ostream& out) const {
   });
 }
 
-bool Trace::export_chrome_trace(const std::string& path) const {
+bool Trace::export_chrome_trace(const std::string& path,
+                                const Telemetry* counters) const {
   std::ofstream out(path);
   if (!out) return false;
-  export_chrome_trace(out);
+  export_chrome_trace(out, counters);
   return static_cast<bool>(out);
 }
 
@@ -159,11 +162,13 @@ bool Trace::export_jsonl(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-void Trace::export_chrome_trace(std::ostream& out) const {
+void Trace::export_chrome_trace(std::ostream& out,
+                                const Telemetry* counters) const {
   // pid = node id, tid = track. Track 0 holds instant markers, tracks 1..N
-  // one per span kind, track 63 the counter samples. Spans are paired into
-  // ph:"X" complete events per (node, kind); an unmatched end is dropped and
-  // an unmatched begin is closed at the last record's timestamp.
+  // one per span kind. Spans are paired into ph:"X" complete events per
+  // (node, kind); an unmatched end is dropped and an unmatched begin is
+  // closed at the last record's timestamp. Telemetry series follow as ph:"C"
+  // counters (process-scoped, so they need no track).
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto emit = [&](const std::string& ev) {
@@ -175,8 +180,7 @@ void Trace::export_chrome_trace(std::ostream& out) const {
 
   std::map<std::pair<std::uint32_t, std::uint8_t>, std::vector<TraceRecord>>
       open_spans;
-  // node -> bitmask of tids used: bits 0..6 the event/span tracks, bit 7 the
-  // counter track (rendered as tid 63).
+  // pid -> bitmask of tids used (bits 0..6, the event/span tracks).
   std::map<std::uint32_t, std::uint32_t> tracks_used;
   std::int64_t last_ticks = 0;
 
@@ -188,7 +192,6 @@ void Trace::export_chrome_trace(std::ostream& out) const {
       case TraceEvent::kBulkSession: return 4;
       case TraceEvent::kCodedDisperse: return 5;
       case TraceEvent::kDrainSession: return 6;
-      case TraceEvent::kNodeSample: return 63;
       default: return 0;
     }
   };
@@ -210,8 +213,7 @@ void Trace::export_chrome_trace(std::ostream& out) const {
 
   for_each([&](const TraceRecord& r) {
     last_ticks = r.t_ticks;
-    int tid = tid_for(r.event);
-    tracks_used[r.node] |= 1u << (tid == 63 ? 7 : tid);
+    tracks_used[r.node] |= 1u << tid_for(r.event);
     if (r.phase == TracePhase::kBegin) {
       open_spans[{r.node, static_cast<std::uint8_t>(r.event)}].push_back(r);
       return;
@@ -222,16 +224,6 @@ void Trace::export_chrome_trace(std::ostream& out) const {
       TraceRecord b = it->second.back();
       it->second.pop_back();
       emit_span(b, r.t_ticks, r.a, r.b, r.x);
-      return;
-    }
-    if (r.event == TraceEvent::kNodeSample) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"sample\",\"ph\":\"C\",\"pid\":%u,\"tid\":63,"
-                    "\"ts\":%.3f,\"args\":{\"free_flash\":%" PRIu64
-                    ",\"inflight_frags\":%" PRIu64
-                    ",\"ttl_s\":%g,\"pending_events\":%g}}",
-                    r.node, ticks_to_us(r.t_ticks), r.a, r.b, r.x, r.y);
-      emit(buf);
       return;
     }
     std::snprintf(buf, sizeof(buf),
@@ -247,15 +239,39 @@ void Trace::export_chrome_trace(std::ostream& out) const {
   for (auto& [key, stack] : open_spans)
     for (const auto& b : stack) emit_span(b, last_ticks, 0, 0, 0.0);
 
+  if (counters != nullptr) {
+    const auto& times = counters->times();
+    counters->for_each_column([&](const std::string& series,
+                                  SeriesScope scope, std::uint32_t node,
+                                  const std::vector<double>& values) {
+      const std::uint32_t pid =
+          scope == SeriesScope::kGlobal ? kTelemetryPid : node;
+      tracks_used.try_emplace(pid, 0u);
+      for (std::size_t i = 0; i < values.size() && i < times.size(); ++i) {
+        // NaN marks a row this column skipped; JSON has no inf either.
+        if (!std::isfinite(values[i])) continue;
+        std::snprintf(buf, sizeof(buf),
+                      "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":%u,"
+                      "\"ts\":%.3f,\"args\":{\"value\":%.17g}}",
+                      series.c_str(), pid,
+                      ticks_to_us(times[i].raw_ticks()), values[i]);
+        emit(buf);
+      }
+    });
+  }
+
   // Metadata: readable process (node) and thread (track) names.
   static const char* kTrackNames[] = {"events",  "leadership", "task",
                                       "prelude", "migration",  "coded",
                                       "drain"};
   for (const auto& [node, mask] : tracks_used) {
+    const std::string name = node == kTelemetryPid
+                                 ? std::string("telemetry")
+                                 : "node " + std::to_string(node);
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%u,"
-                  "\"args\":{\"name\":\"node %u\"}}",
-                  node, node);
+                  "\"args\":{\"name\":\"%s\"}}",
+                  node, name.c_str());
     emit(buf);
     for (int tid = 0; tid < 7; ++tid) {
       if (!(mask & (1u << tid))) continue;
@@ -263,13 +279,6 @@ void Trace::export_chrome_trace(std::ostream& out) const {
                     "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
                     "\"tid\":%d,\"args\":{\"name\":\"%s\"}}",
                     node, tid, kTrackNames[tid]);
-      emit(buf);
-    }
-    if (mask & (1u << 7)) {
-      std::snprintf(buf, sizeof(buf),
-                    "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%u,"
-                    "\"tid\":63,\"args\":{\"name\":\"samples\"}}",
-                    node);
       emit(buf);
     }
   }

@@ -65,8 +65,6 @@ enum class TraceEvent : std::uint8_t {
   kFail = 34,       // node permanently failed; b = 1 if data lost
   kBrownout = 35,   // brownout begun; x = duration s
   kClockStep = 36,  // local clock stepped; x = offset s
-  kNodeSample = 37,  // timeseries sample: a = free flash bytes, b = in-flight frags,
-                     // x = TTL_storage s (clamped), y = pending scheduler events (global, node 0 only)
   kCodedEncode = 38,  // chunk encoded into fragments; a = original key,
                       // b = pack(k, n), x = original bytes
   kCodedDecode = 39,  // decode-on-drain summary; a = groups reconstructed,
@@ -102,6 +100,12 @@ static_assert(sizeof(TraceRecord) == 56, "TraceRecord layout drifted");
 
 const char* trace_event_name(TraceEvent e);
 
+class Telemetry;
+
+/// Chrome-trace pid of the process carrying global telemetry counters; node
+/// pids are node ids, which count up from 1.
+inline constexpr std::uint32_t kTelemetryPid = 0x7fffffffu;
+
 // Global fast-path flag; tested inline by the record helpers.
 extern bool g_trace_enabled;
 
@@ -136,9 +140,14 @@ class Trace {
   void dump_tail(std::size_t n, std::ostream& out) const;
 
   // Exporters. Both return false (and write nothing further) on I/O error.
-  bool export_chrome_trace(const std::string& path) const;
+  // A Chrome trace carries the telemetry plane's series as ph:"C" counter
+  // tracks when `counters` holds samples: global series on one "telemetry"
+  // process (pid kTelemetryPid), per-node series on the node's pid.
+  bool export_chrome_trace(const std::string& path,
+                           const Telemetry* counters = nullptr) const;
   bool export_jsonl(const std::string& path) const;
-  void export_chrome_trace(std::ostream& out) const;
+  void export_chrome_trace(std::ostream& out,
+                           const Telemetry* counters = nullptr) const;
   void export_jsonl(std::ostream& out) const;
 
  private:

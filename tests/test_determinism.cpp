@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "sim/telemetry.h"
 #include "sim/trace.h"
 
 namespace enviromic::core {
@@ -148,7 +149,7 @@ TEST(Determinism, CoalescedTimerPathIsDeterministicWithAndWithoutBackoff) {
 
 TEST(Determinism, TracingAndProfilingDoNotPerturbSeededChaosRuns) {
   // The trace recorder and scheduler profiler read the wall clock but never
-  // schedule events or draw RNG, and the timeseries sampler's stepped
+  // schedule events or draw RNG, and the telemetry sampler's stepped
   // run_until drive is stream-neutral — so a fully observed run must stay
   // bit-identical to a dark one, down to the executed-event count.
   ChaosRunConfig off = probe(17);
@@ -158,12 +159,17 @@ TEST(Determinism, TracingAndProfilingDoNotPerturbSeededChaosRuns) {
   ChaosRunConfig on = probe(17);
   on.flight_recorder = false;  // the test owns the trace lifecycle
   on.profile = true;
-  on.trace_sample_interval = sim::Time::seconds_i(30);
+  on.series_interval = sim::Time::seconds_i(30);
   sim::Trace::instance().enable(1 << 16);
+  sim::Telemetry::instance().clear();
+  sim::Telemetry::instance().enable();
   const auto b = run_chaos(on);
   sim::Trace::instance().disable();
+  sim::Telemetry::instance().disable();
   const auto recorded = sim::Trace::instance().total_recorded();
+  const auto samples = sim::Telemetry::instance().sample_count();
   sim::Trace::instance().clear();
+  sim::Telemetry::instance().clear();
 
   expect_identical(a.final_snapshot, b.final_snapshot);
   expect_identical(a.channel_stats, b.channel_stats);
@@ -172,6 +178,7 @@ TEST(Determinism, TracingAndProfilingDoNotPerturbSeededChaosRuns) {
   EXPECT_EQ(a.executed_events, b.executed_events);
   // The observed leg really observed something.
   EXPECT_GT(recorded, 0u);
+  EXPECT_GT(samples, 0u);
   EXPECT_TRUE(b.profiled);
   EXPECT_GT(b.profile.fires, 0u);
 }

@@ -82,7 +82,7 @@ TEST(EdgeCase, DetectorWithZeroMarginStillUsesBackground) {
   acoustic::Detector det(sched, mic, sim::Rng(9), cfg);
   int onsets = 0;
   det.set_onset_handler([&] { ++onsets; });
-  det.start();
+  testing::start_pumped(sched, det);
   sched.run_until(sim::Time::seconds_i(30));
   EXPECT_EQ(onsets, 0);  // level == background, never strictly above
 }

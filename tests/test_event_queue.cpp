@@ -8,10 +8,31 @@
 namespace enviromic::sim {
 namespace {
 
+using Callback = EventQueue::Callback;
+
+/// Pops the earliest live event whatever its time (false when none is left).
+bool pop(EventQueue& q, Time* t, Callback* cb) {
+  return q.pop_next(Time::max(), t, cb);
+}
+
+/// True when no live event is left to pop.
+bool drained(EventQueue& q) {
+  Time t;
+  Callback cb;
+  return !pop(q, &t, &cb);
+}
+
+/// Fires every live event in pop order.
+void run_all(EventQueue& q) {
+  Time t;
+  Callback cb;
+  while (pop(q, &t, &cb)) cb();
+}
+
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.scheduled_count(), 0u);
+  EXPECT_EQ(q.live_count(), 0u);
+  EXPECT_TRUE(drained(q));
 }
 
 TEST(EventQueue, PopsInTimeOrder) {
@@ -20,7 +41,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.schedule(Time::millis(30), [&] { order.push_back(3); });
   q.schedule(Time::millis(10), [&] { order.push_back(1); });
   q.schedule(Time::millis(20), [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().second();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -31,16 +52,18 @@ TEST(EventQueue, TieBreaksByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.schedule(t, [&order, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().second();
+  run_all(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 TEST(EventQueue, PopReturnsTime) {
   EventQueue q;
   q.schedule(Time::millis(42), [] {});
-  auto [t, cb] = q.pop();
+  Time t;
+  Callback cb;
+  ASSERT_TRUE(pop(q, &t, &cb));
   EXPECT_EQ(t, Time::millis(42));
-  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(drained(q));
 }
 
 TEST(EventQueue, CancelPreventsExecution) {
@@ -50,7 +73,8 @@ TEST(EventQueue, CancelPreventsExecution) {
   EXPECT_TRUE(h.pending());
   h.cancel();
   EXPECT_FALSE(h.pending());
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.live_count(), 0u);
+  EXPECT_TRUE(drained(q));
   EXPECT_FALSE(fired);
 }
 
@@ -59,7 +83,8 @@ TEST(EventQueue, CancelIsIdempotent) {
   auto h = q.schedule(Time::millis(1), [] {});
   h.cancel();
   h.cancel();
-  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.live_count(), 0u);
+  EXPECT_TRUE(drained(q));
 }
 
 TEST(EventQueue, DefaultHandleIsInert) {
@@ -75,14 +100,14 @@ TEST(EventQueue, CancelMiddleEventOnly) {
   auto h = q.schedule(Time::millis(2), [&] { order.push_back(2); });
   q.schedule(Time::millis(3), [&] { order.push_back(3); });
   h.cancel();
-  while (!q.empty()) q.pop().second();
+  run_all(q);
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
 TEST(EventQueue, HandleNotPendingAfterPop) {
   EventQueue q;
   auto h = q.schedule(Time::millis(1), [] {});
-  q.pop().second();
+  run_all(q);
   EXPECT_FALSE(h.pending());
 }
 
@@ -91,7 +116,13 @@ TEST(EventQueue, NextTimeSkipsCancelled) {
   auto h = q.schedule(Time::millis(1), [] {});
   q.schedule(Time::millis(7), [] {});
   h.cancel();
-  EXPECT_EQ(q.next_time(), Time::millis(7));
+  // The cancelled 1 ms entry neither pops under a 5 ms limit nor hides the
+  // live 7 ms one behind it.
+  Time t;
+  Callback cb;
+  EXPECT_FALSE(q.pop_next(Time::millis(5), &t, &cb));
+  ASSERT_TRUE(q.pop_next(Time::millis(7), &t, &cb));
+  EXPECT_EQ(t, Time::millis(7));
 }
 
 TEST(EventQueue, TotalScheduledCounts) {
@@ -117,7 +148,9 @@ TEST(EventQueue, PopReleasesCallbackCaptures) {
   auto resource = std::make_shared<int>(7);
   q.schedule(Time::millis(1), [resource] { (void)*resource; });
   {
-    auto [t, cb] = q.pop();
+    Time t;
+    Callback cb;
+    ASSERT_TRUE(pop(q, &t, &cb));
     cb();
     EXPECT_EQ(resource.use_count(), 2);  // held by the popped callback only
   }
@@ -131,12 +164,12 @@ TEST(EventQueue, LiveCountExcludesTombstones) {
     handles.push_back(q.schedule(Time::millis(i), [] {}));
   }
   EXPECT_EQ(q.live_count(), 10u);
-  EXPECT_EQ(q.scheduled_count(), 10u);
   for (int i = 0; i < 4; ++i) handles[static_cast<size_t>(2 * i)].cancel();
-  // Tombstones may still sit in the heap, but neither count reports them.
+  // Tombstones may still sit in the heap, but the count never reports them.
   EXPECT_EQ(q.live_count(), 6u);
-  EXPECT_EQ(q.scheduled_count(), 6u);
-  q.pop().second();
+  Time t;
+  Callback cb;
+  ASSERT_TRUE(pop(q, &t, &cb));
   EXPECT_EQ(q.live_count(), 5u);
 }
 
@@ -158,7 +191,7 @@ TEST(EventQueue, CompactionPreservesPopOrder) {
     auto h = q.schedule(Time::millis(1000 + i), [] {});
     h.cancel();
   }
-  while (!q.empty()) q.pop().second();
+  run_all(q);
   ASSERT_EQ(fired.size(), 100u);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(fired[static_cast<size_t>(i)], 5 * i);
   EXPECT_EQ(q.live_count(), 0u);
@@ -182,7 +215,9 @@ TEST(EventQueue, TotalScheduledIsMonotone) {
   auto h = q.schedule(Time::millis(9), [] {});
   h.cancel();
   // Cancellation and popping never decrease the lifetime counter.
-  q.pop().second();
+  Time t;
+  Callback cb;
+  ASSERT_TRUE(pop(q, &t, &cb));
   EXPECT_EQ(q.total_scheduled(), 6u);
 }
 
@@ -195,8 +230,9 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     q.schedule(Time::ticks(static_cast<std::int64_t>(x % 1000000)), [] {});
   }
   Time prev = Time::zero();
-  while (!q.empty()) {
-    auto [t, cb] = q.pop();
+  Time t;
+  Callback cb;
+  while (pop(q, &t, &cb)) {
     EXPECT_GE(t, prev);
     prev = t;
   }

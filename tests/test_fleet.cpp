@@ -344,6 +344,18 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --series-interval fast"), 2);
   EXPECT_EQ(run_binary(cli + " --probe nope=1"), 2);
   EXPECT_EQ(run_binary(cli + " --probe battery_floor=low"), 2);
+  // Telemetry flags act on the chaos scenario only; elsewhere they used to
+  // be accepted and then do nothing.
+  const std::string series = " --series " + ::testing::TempDir() + "x.csv";
+  EXPECT_EQ(run_binary(cli + " --scenario indoor" + series), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --series-interval 5"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario outdoor --probe battery_floor=1e9"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario voice" + series), 2);
+  // An indoor snapshot period that is zero or outlasts the horizon would
+  // loop forever or leave nothing to report.
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --sample 0"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon 30 --sample 60"), 2);
 }
 
 TEST(CliRejection, BadErasureGeometryExitsTwo) {
@@ -360,6 +372,7 @@ TEST(CliRejection, FleetBinaryRejectsBadArguments) {
   EXPECT_EQ(run_binary(fleet + " --scenario bogus"), 2);
   EXPECT_EQ(run_binary(fleet + " --scenario chaos --sweep bogus=1,2"), 2);
   EXPECT_EQ(run_binary(fleet + " --sweep crash=0.1,x2"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario outdoor --sweep time_scale=1"), 2);
   EXPECT_EQ(run_binary(fleet + " --coded-k 0 --coded-n 5"), 2);
   EXPECT_EQ(run_binary(fleet + " --coded-k 4 --coded-n 2"), 2);
   EXPECT_EQ(run_binary(fleet + " --series-interval 0"), 2);

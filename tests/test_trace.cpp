@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/telemetry.h"
 #include "sim/trace.h"
 
 namespace enviromic::sim {
@@ -143,16 +144,39 @@ TEST_F(TraceTest, ChromeExportEmitsInstantsAndCounterSamples) {
   auto& trace = Trace::instance();
   trace.enable(64);
   trace_instant(Time::seconds_i(1), TraceEvent::kCrash, 5, 0, 1);
-  trace_instant(Time::seconds_i(2), TraceEvent::kNodeSample, 5, 123456, 3, 42.5,
-                7.0);
+  // Counter tracks come from the telemetry plane: a global series lands on
+  // the "telemetry" process, a per-node one on the node's own pid.
+  auto& tel = Telemetry::instance();
+  tel.clear();
+  tel.enable();
+  const SeriesId used = tel.register_series(
+      "flash_used_bytes", SeriesKind::kGauge, SeriesScope::kGlobal);
+  const SeriesId battery = tel.register_series(
+      "node_battery_j", SeriesKind::kGauge, SeriesScope::kPerNode);
+  tel.begin_sample(Time::seconds_i(2));
+  telemetry_record(used, 123456);
+  telemetry_record(battery, 5, 42.5);
+  tel.disable();
+
+  std::ostringstream dark;
+  trace.export_chrome_trace(dark);
+  EXPECT_EQ(dark.str().find("\"ph\":\"C\""), std::string::npos);
+
   std::ostringstream out;
-  trace.export_chrome_trace(out);
+  trace.export_chrome_trace(out, &tel);
+  tel.clear();
   const std::string json = out.str();
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"name\":\"crash\",\"ph\":\"i\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-  EXPECT_NE(json.find("\"free_flash\":123456"), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"samples\""), std::string::npos);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"C\""), 2u);
+  EXPECT_NE(json.find("\"name\":\"flash_used_bytes\",\"ph\":\"C\",\"pid\":" +
+                      std::to_string(kTelemetryPid) +
+                      ",\"ts\":2000000.000,\"args\":{\"value\":123456}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"node_battery_j\",\"ph\":\"C\",\"pid\":5,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"telemetry\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"node 5\""), std::string::npos);
 }
 
 TEST_F(TraceTest, JsonlExportEmitsOneWellFormedObjectPerRecord) {

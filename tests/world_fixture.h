@@ -72,4 +72,20 @@ inline int leader_count(core::World& world) {
   return n;
 }
 
+/// Starts a stand-alone detector and polls it every poll interval, the way
+/// World's detector pump drives each node's detector (the detector keeps no
+/// timer of its own). `det` must outlive the scheduler's run.
+inline void start_pumped(sim::Scheduler& sched, acoustic::Detector& det) {
+  struct Pump {
+    static void arm(sim::Scheduler& s, acoustic::Detector& d) {
+      s.after(d.config().poll_interval, [&s, &d] {
+        arm(s, d);
+        d.poll_once();
+      });
+    }
+  };
+  det.start();
+  Pump::arm(sched, det);
+}
+
 }  // namespace enviromic::testing

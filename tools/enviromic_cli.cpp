@@ -44,7 +44,6 @@ struct Args {
   int drain_hops = 4;
   std::string drain_resource = "/chunks/all";
   std::string trace_path;
-  double trace_sample_s = 0.0;
   std::string series_path;
   double series_interval_s = 0.0;
   std::vector<core::HealthProbe> probes;
@@ -103,16 +102,16 @@ void usage() {
       "  --log-level off|error|warn|info|debug|trace\n"
       "  --trace <path>                           record a protocol trace;\n"
       "      .jsonl extension dumps raw records, anything else writes\n"
-      "      Chrome-trace JSON (open in Perfetto / chrome://tracing)\n"
-      "  --trace-sample-interval <seconds>        per-node counter samples\n"
-      "      in the trace (chaos scenario; > 0, off by default)\n"
+      "      Chrome-trace JSON (open in Perfetto / chrome://tracing); with\n"
+      "      --series too, the telemetry series become its counter tracks\n"
       "  --series <path>                          telemetry time series\n"
-      "      (chaos scenario); .jsonl extension dumps JSONL, anything else\n"
+      "      (chaos only); .jsonl extension dumps JSONL, anything else\n"
       "      CSV (one column per gauge, per-node gauges as name[node])\n"
       "  --series-interval <seconds>              telemetry sampling cadence\n"
-      "      (> 0; default 1 when --series is given)\n"
-      "  --probe <name>=<value>                   declarative health probe,\n"
-      "      repeatable; a trip dumps the flight-recorder tail and exits 1.\n"
+      "      (chaos only; > 0; default 1 when --series is given)\n"
+      "  --probe <name>=<value>                   declarative health probe\n"
+      "      (chaos only), repeatable; a trip dumps the flight-recorder\n"
+      "      tail and exits 1.\n"
       "      names: wear_spread_max miss_ratio_max battery_floor\n"
       "             window_stalls_max channel_busy_max\n"
       "  --faults k=v[,k=v...]                    fault plan; implies chaos\n"
@@ -222,14 +221,6 @@ bool parse(int argc, char** argv, Args& args) {
       args.trace_path = next("--trace");
     } else if (a == "--json") {
       args.json_path = next("--json");
-    } else if (a == "--trace-sample-interval") {
-      args.trace_sample_s =
-          flag_double("--trace-sample-interval", next("--trace-sample-interval"));
-      if (args.trace_sample_s <= 0.0) {
-        std::fprintf(stderr, "bad --trace-sample-interval %g (need > 0)\n",
-                     args.trace_sample_s);
-        return false;
-      }
     } else if (a == "--series") {
       args.series_path = next("--series");
     } else if (a == "--series-interval") {
@@ -259,6 +250,14 @@ bool parse(int argc, char** argv, Args& args) {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return false;
     }
+  }
+  const bool chaos = args.have_faults || args.scenario == "chaos";
+  if (!chaos && (!args.series_path.empty() || args.series_interval_s > 0.0 ||
+                 !args.probes.empty())) {
+    std::fprintf(stderr,
+                 "--series, --series-interval and --probe apply to the chaos "
+                 "scenario only\n");
+    return false;
   }
   std::string geom_err;
   if (!storage::ErasureCodec::validate_geometry(args.coded_k, args.coded_n,
@@ -294,32 +293,13 @@ int run_indoor_cli(const Args& args) {
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.sample_period = sim::Time::seconds(args.sample_s);
-  if (args.gossip) {
-    // run_indoor derives its node params from the mode/beta; rebuild them
-    // here with the strategy override.
-    // (The runner keeps its own interface minimal, so we drive World
-    // directly for this variant.)
-    core::WorldConfig wc;
-    wc.seed = cfg.seed;
-    wc.node_defaults = core::paper_node_params(cfg.mode, cfg.beta_max);
-    wc.node_defaults.protocol.balance_strategy =
-        core::BalanceStrategy::kGlobalGossip;
-    wc.node_defaults.flash.capacity_bytes = static_cast<std::uint64_t>(
-        wc.node_defaults.flash.capacity_bytes * cfg.flash_scale);
-    core::World world(wc);
-    core::grid_deployment(world, cfg.grid_nx, cfg.grid_ny, cfg.spacing_ft);
-    core::IndoorEventPlanConfig events;
-    events.horizon = cfg.horizon;
-    events.generators = {{5, 3}, {11, 7}};
-    core::schedule_indoor_events(world, events, world.rng().fork("plan"));
-    world.start();
-    world.run_until(cfg.horizon);
-    const auto s = world.snapshot();
-    std::printf("indoor(gossip) miss=%.3f redundancy=%.3f messages=%llu\n",
-                s.miss_ratio, s.redundancy_ratio,
-                static_cast<unsigned long long>(s.total_messages));
-    return 0;
+  if (cfg.sample_period <= sim::Time::zero() ||
+      cfg.sample_period > cfg.horizon) {
+    std::fprintf(stderr, "bad --sample %g (need > 0 and <= --horizon %g)\n",
+                 args.sample_s, args.horizon_s);
+    return 2;
   }
+  if (args.gossip) cfg.balance_strategy = core::BalanceStrategy::kGlobalGossip;
   const auto res = core::run_indoor(cfg);
   emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
   if (args.csv) {
@@ -332,9 +312,10 @@ int run_indoor_cli(const Args& args) {
     t.print_csv(std::cout);
   }
   const auto& last = res.series.back();
-  std::printf("indoor[%s beta=%.0f] t=%.0fs miss=%.3f redundancy=%.3f "
+  std::printf("indoor[%s beta=%.0f%s] t=%.0fs miss=%.3f redundancy=%.3f "
               "messages=%llu\n",
-              core::mode_name(args.mode), args.beta, last.t.to_seconds(),
+              core::mode_name(args.mode), args.beta,
+              args.gossip ? " gossip" : "", last.t.to_seconds(),
               last.miss_ratio, last.redundancy_ratio,
               static_cast<unsigned long long>(last.total_messages));
   if (args.contours) {
@@ -405,9 +386,6 @@ int run_chaos_cli(const Args& args) {
   cfg.seed = args.seed;
   cfg.horizon = sim::Time::seconds(args.horizon_s);
   cfg.beta_max = args.beta;
-  if (args.trace_sample_s > 0.0) {
-    cfg.trace_sample_interval = sim::Time::seconds(args.trace_sample_s);
-  }
   if (args.series_interval_s > 0.0) {
     cfg.series_interval = sim::Time::seconds(args.series_interval_s);
   } else if (!args.series_path.empty()) {
@@ -552,9 +530,11 @@ int main(int argc, char** argv) {
   if (!args.trace_path.empty()) {
     auto& trace = sim::Trace::instance();
     trace.disable();
+    const sim::Telemetry* counters =
+        args.series_path.empty() ? nullptr : &sim::Telemetry::instance();
     const bool ok = ends_with_jsonl(args.trace_path)
                         ? trace.export_jsonl(args.trace_path)
-                        : trace.export_chrome_trace(args.trace_path);
+                        : trace.export_chrome_trace(args.trace_path, counters);
     if (!ok) {
       std::fprintf(stderr, "failed to write trace to %s\n",
                    args.trace_path.c_str());
