@@ -72,12 +72,19 @@ rc=0
 ./build/tools/enviromic_cli --scenario voice --trace-sample-interval 30 \
   > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "FAIL: removed sampler flag should exit 2, got $rc"; exit 1; }
-# Strict numeric parsing: non-numeric, trailing-junk, and out-of-range
-# arguments exit 2 with a diagnostic (atoll/atof silently accepted these).
-for bad in "--seed garbage" "--seed 1e3" "--runs 3x" "--beta nope" \
-    "--coded-k 0" "--coded-n 300" "--coded-k 6 --coded-n 4" \
-    "--drain-sinks 9" "--drain-sinks x" "--drain-hops 0" \
-    "--drain-resource /chunks/bogus"; do
+# Strict numeric parsing: non-numeric, trailing-junk, non-finite and
+# out-of-range arguments exit 2 with a diagnostic (atoll/atof silently
+# accepted these), and so does a flag the chosen scenario has no entry for.
+for bad in "--seed garbage" "--seed 1e3" "--scenario mobile --runs 3x" \
+    "--beta nope" "--scenario chaos --coded-k 0" \
+    "--scenario chaos --coded-n 300" "--scenario chaos --coded-k 6 --coded-n 4" \
+    "--scenario chaos --drain-sinks 9" "--scenario chaos --drain-sinks x" \
+    "--scenario chaos --drain-hops 0" \
+    "--scenario chaos --drain-resource /chunks/bogus" \
+    "--scenario indoor --horizon 120 --drain-sinks 2 --storage-policy coded --runs 3" \
+    "--scenario outdoor --mode coop --sample 30" "--scenario voice --horizon 60" \
+    "--faults crash=nan" "--faults downtime=inf" "--faults crash=0.5,downtime=inf" \
+    "--scenario chaos --grid-nx 2.5" "--scenario indoor --mode 7"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_cli $bad > /dev/null 2>&1 || rc=$?
@@ -161,6 +168,15 @@ cmp build/fleet_j1.json build/fleet_resume.json \
   || { echo "FAIL: fleet resume changed the report bytes"; exit 1; }
 grep -q "4 worlds (4 resumed), 0 launched" build/fleet_resume.log \
   || { echo "FAIL: fleet resume re-ran completed worlds"; exit 1; }
+# CLI <-> fleet parity: the same seed and flags run the same world, so the
+# CLI's --json record equals the fleet row's metrics.
+parity="--scenario chaos --seed 5 --horizon 120 --faults crash=0.3 --coded-k 2 --coded-n 4"
+rm -f build/parity_cli.json
+# shellcheck disable=SC2086
+./build/tools/enviromic_cli $parity --json build/parity_cli.json > /dev/null
+# shellcheck disable=SC2086
+./build/tools/enviromic_fleet $parity --seeds 1 --out build/parity_fleet.json \
+  2> /dev/null
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json, sys
@@ -168,10 +184,18 @@ r = json.load(open("build/fleet_j1.json"))
 if r["worlds"] != 4 or r["failed"] != 0 or len(r["rows"]) != 4:
     sys.exit(f"FAIL: fleet report shape {r['worlds']}/{r['failed']}")
 print(f"fleet smoke OK: {r['worlds']} worlds, {len(r['aggregates'])} points")
+cli = json.loads(open("build/parity_cli.json").readline())["metrics"]
+row = json.load(open("build/parity_fleet.json"))["rows"][0]
+if row["status"] != "ok" or row["metrics"] != cli:
+    sys.exit("FAIL: CLI --json record and fleet row differ")
+print(f"parity smoke OK: {len(cli)} metrics equal, seed {row['seed']}")
 EOF
 fi
 for bad in "--seed garbage" "--seeds 0" "--scenario bogus" \
-    "--sweep nope=1,2" "--coded-k 0 --coded-n 5"; do
+    "--sweep nope=1,2" "--coded-k 0 --coded-n 5" "--set grid_nx=2.5" \
+    "--set grid_nx=0" "--set window=-1" "--set horizon=-5" \
+    "--scenario indoor --set mode=7" "--faults crash=nan" \
+    "--faults downtime=inf"; do
   rc=0
   # shellcheck disable=SC2086
   ./build/tools/enviromic_fleet $bad > /dev/null 2>&1 || rc=$?

@@ -393,7 +393,8 @@ ChaosRunResult run_chaos(const ChaosRunConfig& cfg) {
   // the caller already has tracing on (then its ring serves the same role).
   const bool fr_owns_trace =
       cfg.flight_recorder && !sim::Trace::instance().enabled();
-  if (fr_owns_trace) sim::Trace::instance().enable(cfg.flight_recorder_capacity);
+  constexpr std::size_t kFlightRecorderCapacity = 4096;  // ring, records
+  if (fr_owns_trace) sim::Trace::instance().enable(kFlightRecorderCapacity);
   if (cfg.profile) world.sched().profiler().enable();
 
   // Telemetry plane: sample the standard probes on the series cadence when

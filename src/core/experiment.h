@@ -188,9 +188,8 @@ struct ChaosRunConfig {
   /// flight_recorder_path when set — if the end-state invariants fail.
   /// The perf bench turns this off for clean wall-clock timing runs.
   bool flight_recorder = true;
-  std::size_t flight_recorder_capacity = 4096;  //!< ring size, records
-  std::size_t flight_recorder_dump = 64;        //!< tail records dumped
-  std::string flight_recorder_path;             //!< optional dump file
+  std::size_t flight_recorder_dump = 64;  //!< tail records dumped
+  std::string flight_recorder_path;       //!< optional dump file
   /// Per-node live-event budget for the runaway-timer invariant; overrides
   /// ChaosRunResult::kLiveEventsPerNodeBound (the flight-recorder test sets
   /// it to 0 to force an invariant failure on demand).

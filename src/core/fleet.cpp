@@ -19,9 +19,7 @@
 #include <set>
 #include <sstream>
 
-#include "core/faults.h"
 #include "sim/telemetry.h"
-#include "storage/erasure.h"
 #include "util/csv.h"
 
 namespace enviromic::core {
@@ -38,109 +36,24 @@ std::string axis_value_str(double v) {
   return buf;
 }
 
-bool apply_chaos_param(ChaosRunConfig& cfg, const std::string& name,
-                       double v) {
-  if (name == "horizon") cfg.horizon = sim::Time::seconds(v);
-  else if (name == "grace") cfg.grace = sim::Time::seconds(v);
-  else if (name == "beta") cfg.beta_max = v;
-  else if (name == "flash_scale") cfg.flash_scale = v;
-  else if (name == "grid_nx") cfg.grid_nx = static_cast<int>(v);
-  else if (name == "grid_ny") cfg.grid_ny = static_cast<int>(v);
-  else if (name == "spacing") cfg.spacing_ft = v;
-  else if (name == "crash") cfg.faults.crash_probability = v;
-  else if (name == "downtime") cfg.faults.downtime_mean = sim::Time::seconds(v);
-  else if (name == "permanent") cfg.faults.permanent_fraction = v;
-  else if (name == "lose_data") cfg.faults.lose_data_fraction = v;
-  else if (name == "brownout") cfg.faults.brownout_probability = v;
-  else if (name == "brownout_len") cfg.faults.brownout_mean = sim::Time::seconds(v);
-  else if (name == "clockstep") cfg.faults.clock_step_probability = v;
-  else if (name == "clockstep_max") cfg.faults.clock_step_max_s = v;
-  else if (name == "burst") cfg.burst.enabled = v != 0.0;
-  else if (name == "asym") cfg.link_asymmetry_max = v;
-  else if (name == "coded") {
-    cfg.storage_policy = v != 0.0 ? StoragePolicy::kCoded
-                                  : StoragePolicy::kMigrate;
-  } else if (name == "coded_k") cfg.coded_k = static_cast<int>(v);
-  else if (name == "coded_n") cfg.coded_n = static_cast<int>(v);
-  else if (name == "replicas") cfg.recording_replicas = static_cast<int>(v);
-  else if (name == "window") {
-    cfg.transfer_window_frags = static_cast<std::uint32_t>(v);
-  } else if (name == "census") cfg.payload_census = v != 0.0;
-  else return false;
-  return true;
-}
-
-bool apply_indoor_param(IndoorRunConfig& cfg, const std::string& name,
-                        double v) {
-  if (name == "horizon") {
-    cfg.horizon = sim::Time::seconds(v);
-  } else if (name == "beta") {
-    cfg.beta_max = v;
-  } else if (name == "flash_scale") {
-    cfg.flash_scale = v;
-  } else if (name == "mode") {
-    cfg.mode = v == 0.0   ? Mode::kUncoordinated
-               : v == 1.0 ? Mode::kCooperativeOnly
-                          : Mode::kFull;
-  } else if (name == "grid_nx") {
-    cfg.grid_nx = static_cast<int>(v);
-  } else if (name == "grid_ny") {
-    cfg.grid_ny = static_cast<int>(v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool apply_mobile_param(MobileRunConfig& cfg, const std::string& name,
-                        double v) {
-  if (name == "trc") {
-    cfg.task_period = sim::Time::seconds(v);
-  } else if (name == "dta") {
-    cfg.task_assign_delay = sim::Time::millis(static_cast<std::int64_t>(v));
-  } else if (name == "prelude") {
-    cfg.prelude = v != 0.0;
-  } else if (name == "event_s") {
-    cfg.event_duration = sim::Time::seconds(v);
-  } else if (name == "grid_nx") {
-    cfg.grid_nx = static_cast<int>(v);
-  } else if (name == "grid_ny") {
-    cfg.grid_ny = static_cast<int>(v);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool apply_outdoor_param(OutdoorRunConfig& cfg, const std::string& name,
-                         double v) {
-  if (name == "horizon") cfg.horizon = sim::Time::seconds(v);
-  else if (name == "beta") cfg.beta_max = v;
-  else if (name == "nodes") cfg.nodes = static_cast<int>(v);
-  else if (name == "plot_ft") cfg.plot_ft = v;
-  else return false;
-  return true;
-}
-
 bool selftest_param_known(const std::string& name) {
   return name == "crash" || name == "exit" || name == "hang_s" ||
          name == "hang_first_s" || name == "x" || name == "y";
 }
 
-/// The effective parameter list of one world: fixed overrides first, then
-/// the point's axis values (axes win on name collision by coming later).
-std::vector<std::pair<std::string, double>> world_params(
-    const FleetSpec& spec, const FleetPoint& point) {
-  auto params = spec.fixed;
-  params.insert(params.end(), point.params.begin(), point.params.end());
-  return params;
+/// The effective settings of one world: the fixed overrides, then the
+/// point's axis values (axes win on name collision by coming later).
+ParamList world_settings(const FleetSpec& spec, const FleetPoint& point) {
+  auto settings = spec.fixed;
+  settings.insert(settings.end(), point.params.begin(), point.params.end());
+  return settings;
 }
 
-double param_or(const std::vector<std::pair<std::string, double>>& params,
-                const std::string& name, double fallback) {
+double param_or(const ParamList& settings, const std::string& name,
+                double fallback) {
   double v = fallback;
-  for (const auto& [k, val] : params) {
-    if (k == name) v = val;  // last writer wins, like the apply loops
+  for (const auto& s : settings) {
+    if (s.name == name) v = s.value;  // last writer wins
   }
   return v;
 }
@@ -417,30 +330,16 @@ struct ParsedSeries {
   std::vector<std::vector<std::string>> rows;
 };
 
-std::vector<std::string> split_csv_line(const std::string& line) {
-  // Telemetry series cells are gauge names and number literals — never
-  // quoted — so a plain comma split round-trips them exactly.
-  std::vector<std::string> cells;
-  std::size_t pos = 0;
-  while (pos <= line.size()) {
-    auto comma = line.find(',', pos);
-    if (comma == std::string::npos) comma = line.size();
-    cells.push_back(line.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return cells;
-}
-
 bool load_series_file(const std::string& path, ParsedSeries* out) {
   std::ifstream in(path);
   if (!in) return false;
   std::string line;
   if (!std::getline(in, line)) return false;
-  out->header = split_csv_line(line);
+  out->header = util::split_commas(line);
   if (out->header.empty() || out->header[0] != "t_s") return false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    auto cells = split_csv_line(line);
+    auto cells = util::split_commas(line);
     if (cells.size() != out->header.size()) return false;
     out->rows.push_back(std::move(cells));
   }
@@ -497,6 +396,42 @@ void build_series_report(const FleetSpec& spec,
 }
 
 // --- The forked worker -------------------------------------------------------
+
+/// Run one world of the campaign in the calling process and return its
+/// flat metric record. `attempt` is the retry ordinal (0 = first try) — the
+/// selftest scenario's hang_first_s fault keys off it.
+RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
+                          std::uint64_t seed, int attempt) {
+  const auto params = world_settings(spec, point);
+  if (spec.scenario == "selftest") {
+    // The harness' own fault scenario: crash/hang/exit on demand so the
+    // tests can drive the isolation, timeout, and retry paths without a
+    // slow world.
+    if (param_or(params, "crash", 0.0) != 0.0) std::abort();
+    if (const double rc = param_or(params, "exit", 0.0); rc != 0.0) {
+      ::_exit(static_cast<int>(rc));
+    }
+    double hang = param_or(params, "hang_s", 0.0);
+    if (attempt == 0) hang = std::max(hang, param_or(params, "hang_first_s", 0.0));
+    if (hang > 0.0) {
+      ::usleep(static_cast<useconds_t>(hang * 1e6));
+    }
+    RunRecord rec;
+    rec.emplace_back("value",
+                     static_cast<double>(derive_run_seed(seed, 1) % 1000));
+    rec.emplace_back("x", param_or(params, "x", 0.0));
+    rec.emplace_back("y", param_or(params, "y", 0.0));
+    return rec;
+  }
+  RunConfigs configs = make_configs(seed, params);
+  // Campaign worlds run headless: a per-world trace ring would only cost
+  // time, and a failed invariant is already a first-class metric row.
+  configs.chaos.flight_recorder = false;
+  // Sampling only happens when the recorder is on (the forked worker
+  // enables it when the campaign collects series).
+  configs.chaos.series_interval = sim::Time::seconds(spec.series_interval_s);
+  return find_scenario(spec.scenario)->record(configs);
+}
 
 [[noreturn]] void worker_child(const FleetSpec& spec, const FleetPoint& point,
                                std::uint64_t seed_index, std::uint64_t seed,
@@ -569,8 +504,7 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
     return false;
   };
   const std::string& sc = spec.scenario;
-  if (sc != "chaos" && sc != "indoor" && sc != "mobile" && sc != "outdoor" &&
-      sc != "selftest") {
+  if (sc != "selftest" && find_scenario(sc) == nullptr) {
     return fail("unknown scenario '" + sc + "'");
   }
   if (spec.seeds_per_point < 1) return fail("seeds_per_point must be >= 1");
@@ -584,134 +518,25 @@ bool validate_fleet_spec(const FleetSpec& spec, std::string* error) {
   if (spec.series_interval_s > 0.0 && sc != "chaos") {
     return fail("series collection only applies to chaos");
   }
-  if (!spec.faults_spec.empty()) {
-    if (sc != "chaos") return fail("faults spec only applies to chaos");
-    ChaosSpec chaos;
-    std::string err;
-    if (!parse_fault_spec(spec.faults_spec, chaos, err)) {
-      return fail("bad faults spec: " + err);
-    }
-  }
-  auto check_name = [&](const std::string& name) {
-    if (sc == "chaos") {
-      ChaosRunConfig cfg;
-      return apply_chaos_param(cfg, name, 0.0);
-    }
-    if (sc == "indoor") {
-      IndoorRunConfig cfg;
-      return apply_indoor_param(cfg, name, 0.0);
-    }
-    if (sc == "mobile") {
-      MobileRunConfig cfg;
-      return apply_mobile_param(cfg, name, 0.0);
-    }
-    if (sc == "outdoor") {
-      OutdoorRunConfig cfg;
-      return apply_outdoor_param(cfg, name, 0.0);
-    }
-    return selftest_param_known(name);
-  };
-  for (const auto& [name, value] : spec.fixed) {
-    (void)value;
-    if (!check_name(name)) {
-      return fail("unknown " + sc + " parameter '" + name + "'");
-    }
-  }
   for (const auto& axis : spec.sweep) {
     if (axis.values.empty()) return fail("axis '" + axis.name + "' is empty");
-    if (!check_name(axis.name)) {
-      return fail("unknown " + sc + " parameter '" + axis.name + "'");
-    }
   }
-  // Erasure geometry is validated per point so a sweep over coded_k/coded_n
-  // cannot smuggle bad geometry past the boundary.
-  if (sc == "chaos") {
-    for (const auto& point : fleet_points(spec)) {
-      const auto params = world_params(spec, point);
-      if (param_or(params, "coded", 0.0) == 0.0) continue;
-      const int k = static_cast<int>(param_or(params, "coded_k", 3.0));
-      const int n = static_cast<int>(param_or(params, "coded_n", 5.0));
-      std::string err;
-      if (!storage::ErasureCodec::validate_geometry(k, n, &err)) {
-        return fail(point.label.empty() ? err : point.label + ": " + err);
+  // Per point, so a sweep cannot smuggle a bad value or erasure geometry
+  // past a check of each axis alone.
+  const Scenario* scenario = find_scenario(sc);  // null for selftest
+  for (const auto& point : fleet_points(spec)) {
+    const ParamList settings = world_settings(spec, point);
+    if (scenario == nullptr) {
+      for (const auto& s : settings) {
+        if (!selftest_param_known(s.name)) {
+          return fail("unknown selftest parameter '" + s.name + "'");
+        }
       }
+    } else if (std::string err; !validate(*scenario, settings, &err)) {
+      return fail(point.label.empty() ? err : point.label + ": " + err);
     }
   }
   return true;
-}
-
-RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
-                          std::uint64_t seed, int attempt) {
-  const auto params = world_params(spec, point);
-  if (spec.scenario == "selftest") {
-    // The harness' own fault scenario: crash/hang/exit on demand so the
-    // tests can drive the isolation, timeout, and retry paths without a
-    // slow world.
-    if (param_or(params, "crash", 0.0) != 0.0) std::abort();
-    if (const double rc = param_or(params, "exit", 0.0); rc != 0.0) {
-      ::_exit(static_cast<int>(rc));
-    }
-    double hang = param_or(params, "hang_s", 0.0);
-    if (attempt == 0) hang = std::max(hang, param_or(params, "hang_first_s", 0.0));
-    if (hang > 0.0) {
-      ::usleep(static_cast<useconds_t>(hang * 1e6));
-    }
-    RunRecord rec;
-    rec.emplace_back("value",
-                     static_cast<double>(derive_run_seed(seed, 1) % 1000));
-    rec.emplace_back("x", param_or(params, "x", 0.0));
-    rec.emplace_back("y", param_or(params, "y", 0.0));
-    return rec;
-  }
-  if (spec.scenario == "chaos") {
-    ChaosRunConfig cfg;
-    cfg.seed = seed;
-    // Campaign worlds run headless: a per-world trace ring would only cost
-    // time, and a failed invariant is already a first-class metric row.
-    cfg.flight_recorder = false;
-    if (!spec.faults_spec.empty()) {
-      ChaosSpec chaos;
-      std::string err;
-      if (parse_fault_spec(spec.faults_spec, chaos, err)) {
-        cfg.faults = chaos.faults;
-        cfg.burst = chaos.burst;
-        cfg.link_asymmetry_max = chaos.link_asymmetry_max;
-      }
-    }
-    for (const auto& [name, value] : params) {
-      apply_chaos_param(cfg, name, value);
-    }
-    // Sampling itself only happens when the recorder is on (the forked
-    // worker enables it when the campaign collects series), so setting the
-    // cadence here costs a dark in-process caller nothing.
-    if (spec.series_interval_s > 0.0) {
-      cfg.series_interval = sim::Time::seconds(spec.series_interval_s);
-    }
-    return chaos_run_record(run_chaos(cfg));
-  }
-  if (spec.scenario == "indoor") {
-    IndoorRunConfig cfg;
-    cfg.seed = seed;
-    for (const auto& [name, value] : params) {
-      apply_indoor_param(cfg, name, value);
-    }
-    cfg.sample_period = cfg.horizon;  // final snapshot only
-    return indoor_run_record(run_indoor(cfg));
-  }
-  if (spec.scenario == "mobile") {
-    MobileRunConfig cfg;
-    cfg.seed = seed;
-    for (const auto& [name, value] : params) {
-      apply_mobile_param(cfg, name, value);
-    }
-    return mobile_run_record(run_mobile(cfg));
-  }
-  OutdoorRunConfig cfg;
-  cfg.seed = seed;
-  for (const auto& [name, value] : params) {
-    apply_outdoor_param(cfg, name, value);
-  }
-  return outdoor_run_record(run_outdoor(cfg));
 }
 
 FleetResult run_fleet(const FleetSpec& spec,

@@ -1,10 +1,9 @@
 // Multi-process fleet runner for seeded campaign sweeps.
 //
 // EnviroMic's evaluation is parameter sweeps over many independent seeded
-// worlds (miss ratio vs D_ta, survival vs crash rate, storage contours), and
-// the ROADMAP's "millions of users" shape is many deployments, not one giant
-// one. The fleet runner saturates the machine with one *process* per world:
-// a campaign spec (scenario, parameter grid, seed range, fault config) is
+// worlds (miss ratio vs D_ta, survival vs crash rate, storage contours).
+// The fleet runner saturates the machine with one *process* per world: a
+// campaign spec (scenario, parameter grid, seed range, fault config) is
 // expanded into the cross product of parameter points x seeds, each world is
 // forked as its own worker up to `jobs` concurrent processes, and the
 // workers stream flat metric records back over pipes. Process isolation
@@ -20,8 +19,9 @@
 // producing the same bytes a fresh full run would.
 //
 // Per-world seeds come from core::derive_run_seed(base_seed, seed_index),
-// the same splitmix64 derivation `enviromic_cli --runs` uses, so a fleet
-// world and the equivalent CLI run agree.
+// the same splitmix64 derivation `enviromic_cli --runs` uses, and parameters
+// resolve through the CLI's scenario table (core/scenario.h), so a fleet
+// world and the equivalent CLI run agree (tests/test_fleet.cpp checks it).
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/experiment.h"
+#include "core/scenario.h"
 
 namespace enviromic::core {
 
@@ -40,18 +40,16 @@ struct FleetAxis {
 };
 
 struct FleetSpec {
-  /// chaos | indoor | mobile | outdoor | selftest (selftest is the harness'
-  /// own fault-injection scenario: worlds that crash, hang, or exit on
-  /// demand, used by the tests and nothing else).
+  /// chaos | indoor | mobile | outdoor | voice | selftest (selftest is the
+  /// harness' own fault-injection scenario: worlds that crash, hang, or exit
+  /// on demand, used by the tests and nothing else).
   std::string scenario = "chaos";
   std::uint64_t base_seed = 7;
   int seeds_per_point = 8;  //!< worlds per parameter point
   std::vector<FleetAxis> sweep;  //!< empty -> a single parameter point
   /// Fixed parameter overrides applied to every world before the axis
   /// values (an axis with the same name wins). Same name space as the axes.
-  std::vector<std::pair<std::string, double>> fixed;
-  /// Chaos only: parse_fault_spec syntax applied before fixed/axis params.
-  std::string faults_spec;
+  ParamList fixed;
   int jobs = 1;           //!< concurrent worker processes (clamped to >= 1)
   double timeout_s = 0.0; //!< per-attempt wall-clock budget; 0 = none
   int retries = 1;        //!< extra attempts after a crash/timeout
@@ -71,7 +69,7 @@ struct FleetSpec {
 struct FleetPoint {
   std::size_t index = 0;
   std::string label;  //!< canonical "name=value,name=value" ("" = no sweep)
-  std::vector<std::pair<std::string, double>> params;
+  ParamList params;
 };
 
 /// One world's outcome. Metric values are kept as the literal strings the
@@ -107,18 +105,10 @@ struct FleetResult {
 /// axis slowest). An empty sweep yields one unlabeled point.
 std::vector<FleetPoint> fleet_points(const FleetSpec& spec);
 
-/// Check the scenario name, every fixed/axis parameter name, and — when the
-/// campaign selects coded storage — the erasure geometry, without running
+/// Check the scenario name and, at every point, each parameter through the
+/// scenario table (names, values, erasure geometry), without running
 /// anything. Returns false and fills `error` on a bad spec.
 bool validate_fleet_spec(const FleetSpec& spec, std::string* error);
-
-/// The worker entry point: run one world of the campaign in the calling
-/// process and return its flat metric record. The campaign runner calls
-/// this from the forked child; tests call it directly. `attempt` is the
-/// retry ordinal (0 = first try) — the selftest scenario's hang_first_s
-/// fault keys off it.
-RunRecord run_fleet_world(const FleetSpec& spec, const FleetPoint& point,
-                          std::uint64_t seed, int attempt);
 
 /// Run the whole campaign. `resume_report` is a previously produced
 /// report_json whose ok rows are reused instead of re-run (pass "" for a

@@ -36,6 +36,7 @@
 #include "core/node.h"
 #include "core/recorder.h"
 #include "core/retrieval.h"
+#include "core/scenario.h"
 #include "core/tasking.h"
 #include "core/telemetry_probes.h"
 #include "core/timesync.h"

@@ -1,5 +1,7 @@
 #include "util/csv.h"
 
+#include <algorithm>
+
 namespace enviromic::util {
 
 std::string csv_escape(const std::string& s) {
@@ -13,6 +15,16 @@ std::string csv_escape(const std::string& s) {
   }
   out += '"';
   return out;
+}
+
+std::vector<std::string> split_commas(std::string_view s) {
+  std::vector<std::string> cells;
+  for (std::size_t pos = 0; pos <= s.size();) {
+    const std::size_t comma = std::min(s.find(',', pos), s.size());
+    cells.emplace_back(s.substr(pos, comma - pos));
+    pos = comma + 1;
+  }
+  return cells;
 }
 
 }  // namespace enviromic::util

@@ -9,11 +9,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace enviromic::util {
 
 /// Returns `s` quoted per RFC 4180 when it contains ',', '"', '\r', or
 /// '\n'; returns it unchanged otherwise.
 std::string csv_escape(const std::string& s);
+
+/// Split at every ',' with no unquoting: for cells that are never quoted
+/// (gauge names, number literals) and k=v lists. "" yields one empty cell.
+std::vector<std::string> split_commas(std::string_view s);
 
 }  // namespace enviromic::util

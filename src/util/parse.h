@@ -16,13 +16,6 @@ namespace enviromic::util {
 /// values above 2^64-1.
 bool parse_u64(const char* s, std::uint64_t* out);
 
-/// Base-10 signed integer; rejects whitespace, trailing junk, and values
-/// outside [INT64_MIN, INT64_MAX].
-bool parse_i64(const char* s, std::int64_t* out);
-
-/// parse_i64 narrowed to int's range.
-bool parse_int(const char* s, int* out);
-
 /// Finite floating-point literal (strtod grammar minus inf/nan); rejects
 /// leading whitespace, trailing junk, and overflow to infinity.
 bool parse_double(const char* s, double* out);

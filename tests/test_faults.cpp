@@ -1,4 +1,4 @@
-// Fault-injection subsystem: fault plans and their CLI spec parser, the
+// Fault-injection subsystem: fault plans and the --faults spec keys, the
 // Gilbert–Elliott burst-loss and asymmetric-link channel faults, and the
 // crash → down → reboot → recover node lifecycle (including crashes landing
 // mid-bulk-transfer and mid-recording-task).
@@ -77,15 +77,26 @@ TEST(FaultPlan, ZeroProbabilitiesYieldEmptyPlan) {
   EXPECT_TRUE(plan.events.empty());
 }
 
-// --- parse_fault_spec ----------------------------------------------------
+// --- --faults spec: chaos parameters of the scenario table ----------------
+
+/// Parse `spec` as --faults and build the chaos config it selects.
+bool faults_config(const std::string& spec, ChaosRunConfig* cfg,
+                   std::string* err) {
+  ParamList settings;
+  if (!parse_faults(*find_scenario("chaos"), spec, &settings, err)) {
+    return false;
+  }
+  *cfg = make_configs(7, settings).chaos;
+  return true;
+}
 
 TEST(FaultSpecParse, FullSpecRoundTrips) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
-  ASSERT_TRUE(parse_fault_spec(
+  ASSERT_TRUE(faults_config(
       "crash=0.3,downtime=45,permanent=0.1,lose_data=0.5,brownout=0.2,"
       "brownout_len=8,clockstep=0.25,clockstep_max=0.7,asym=0.15",
-      out, err))
+      &out, &err))
       << err;
   EXPECT_DOUBLE_EQ(out.faults.crash_probability, 0.3);
   EXPECT_EQ(out.faults.downtime_mean, sim::Time::seconds(45.0));
@@ -100,25 +111,35 @@ TEST(FaultSpecParse, FullSpecRoundTrips) {
 }
 
 TEST(FaultSpecParse, BurstKeysEnableBurstModel) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
-  ASSERT_TRUE(parse_fault_spec("loss_bad=0.9,pgb=0.05", out, err)) << err;
+  ASSERT_TRUE(faults_config("loss_bad=0.9,pgb=0.05", &out, &err)) << err;
   EXPECT_TRUE(out.burst.enabled);
   EXPECT_DOUBLE_EQ(out.burst.loss_bad, 0.9);
   EXPECT_DOUBLE_EQ(out.burst.p_good_to_bad, 0.05);
 
-  ChaosSpec flag;
-  ASSERT_TRUE(parse_fault_spec("burst=1", flag, err)) << err;
+  ChaosRunConfig flag;
+  ASSERT_TRUE(faults_config("burst=1", &flag, &err)) << err;
   EXPECT_TRUE(flag.burst.enabled);
 }
 
 TEST(FaultSpecParse, RejectsMalformedInput) {
-  ChaosSpec out;
+  ChaosRunConfig out;
   std::string err;
-  EXPECT_FALSE(parse_fault_spec("bogus_key=1", out, err));
+  EXPECT_FALSE(faults_config("bogus_key=1", &out, &err));
   EXPECT_FALSE(err.empty());
-  EXPECT_FALSE(parse_fault_spec("crash=not_a_number", out, err));
-  EXPECT_FALSE(parse_fault_spec("crash", out, err));
+  EXPECT_FALSE(faults_config("crash=not_a_number", &out, &err));
+  EXPECT_FALSE(faults_config("crash", &out, &err));
+  // Non-finite and blank-led numbers: the old private strtod took these,
+  // and llround(inf) clamped every downtime to 1 s.
+  EXPECT_FALSE(faults_config("crash=nan", &out, &err));
+  EXPECT_FALSE(faults_config("downtime=inf", &out, &err));
+  EXPECT_FALSE(faults_config("crash=0.5,downtime=inf", &out, &err));
+  EXPECT_FALSE(faults_config("crash= 0.3", &out, &err));
+  // Out of range, and keys that are chaos parameters but not fault keys.
+  EXPECT_FALSE(faults_config("crash=1.5", &out, &err));
+  EXPECT_FALSE(faults_config("downtime=-5", &out, &err));
+  EXPECT_FALSE(faults_config("horizon=300", &out, &err));
 }
 
 // --- Channel faults ------------------------------------------------------

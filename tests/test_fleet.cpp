@@ -1,16 +1,20 @@
 // Fleet runner: merged-report determinism across -j, worker-crash isolation,
-// timeout/retry semantics, resume, seed derivation, and the strict CLI
-// parsing boundary (library units plus end-to-end binary regressions).
+// timeout/retry semantics, resume, seed derivation, the strict CLI parsing
+// boundary, and CLI <-> fleet parity (library units plus end-to-end binary
+// regressions).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
+#include "core/scenario.h"
 #include "storage/erasure.h"
 #include "util/parse.h"
 
@@ -72,15 +76,20 @@ TEST(StrictParse, U64AcceptsOnlyWholeUnsignedLiterals) {
 }
 
 TEST(StrictParse, IntRangeAndJunk) {
-  int v = 0;
-  EXPECT_TRUE(util::parse_int("-70", &v));
-  EXPECT_EQ(v, -70);
-  EXPECT_TRUE(util::parse_int("2147483647", &v));
-  EXPECT_FALSE(util::parse_int("2147483648", &v));   // > INT_MAX
-  EXPECT_FALSE(util::parse_int("-2147483649", &v));  // < INT_MIN
-  EXPECT_FALSE(util::parse_int("3x", &v));           // atoi accepted this
-  EXPECT_FALSE(util::parse_int("", &v));
-  EXPECT_FALSE(util::parse_int("1.5", &v));
+  // Integers parse through the scenario table: a whole number in range.
+  const core::Param as_int{"n", core::ParamKind::kInt, -2147483648.0,
+                           2147483647.0};
+  core::ParamSetting v;
+  std::string err;
+  EXPECT_TRUE(core::parse_param(as_int, "-70", &v, &err));
+  EXPECT_EQ(v.value, -70.0);
+  EXPECT_TRUE(core::parse_param(as_int, "2147483647", &v, &err));
+  EXPECT_FALSE(core::parse_param(as_int, "2147483648", &v, &err));  // > max
+  EXPECT_FALSE(core::parse_param(as_int, "-2147483649", &v, &err)); // < min
+  EXPECT_FALSE(core::parse_param(as_int, "3x", &v, &err));  // atoi took this
+  EXPECT_FALSE(core::parse_param(as_int, "", &v, &err));
+  EXPECT_FALSE(core::parse_param(as_int, "1.5", &v, &err));
+  EXPECT_NE(err.find("an integer"), std::string::npos) << err;
 }
 
 TEST(StrictParse, DoubleRejectsJunkAndNonFinite) {
@@ -146,12 +155,44 @@ TEST(FleetSpecTest, RejectsUnknownScenarioAndParameters) {
 TEST(FleetSpecTest, RejectsBadCodedGeometryInASweep) {
   FleetSpec spec;
   spec.scenario = "chaos";
-  spec.fixed.emplace_back("coded", 1.0);
+  spec.fixed.emplace_back("storage_policy", 1.0);
   spec.fixed.emplace_back("coded_k", 3.0);
   spec.sweep.push_back({"coded_n", {5.0, 2.0}});  // n=2 < k=3 at one point
   std::string err;
   EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
   EXPECT_NE(err.find("n < k"), std::string::npos) << err;
+}
+
+TEST(FleetSpecTest, RejectsMistypedAndOutOfRangeValues) {
+  // The fleet used to run these and report them "ok": a 2.5-wide grid ran
+  // 2 wide, a 0-wide grid ran no nodes, window=-1 cast a negative double to
+  // uint32_t, and mode=7 silently became full mode.
+  const std::pair<const char*, std::pair<const char*, double>> bad[] = {
+      {"chaos", {"grid_nx", 2.5}},  {"chaos", {"grid_nx", 0.0}},
+      {"chaos", {"window", -1.0}},  {"chaos", {"horizon", -5.0}},
+      {"chaos", {"burst", 2.0}},    {"indoor", {"mode", 7.0}},
+      {"mobile", {"dta", 0.5}},     {"outdoor", {"nodes", 0.0}},
+      {"voice", {"horizon", 60.0}}, {"chaos", {"downtime", 1e300}},
+  };
+  for (const auto& [scenario, param] : bad) {
+    FleetSpec spec;
+    spec.scenario = scenario;
+    spec.fixed.emplace_back(param.first, param.second);
+    std::string err;
+    EXPECT_FALSE(core::validate_fleet_spec(spec, &err))
+        << scenario << " " << param.first << "=" << param.second;
+    EXPECT_NE(err.find(param.first), std::string::npos) << err;
+  }
+  // The same values through a sweep axis are caught at their point.
+  FleetSpec spec;
+  spec.sweep.push_back({"grid_nx", {3.0, 2.5}});
+  std::string err;
+  EXPECT_FALSE(core::validate_fleet_spec(spec, &err));
+  EXPECT_NE(err.find("grid_nx=2.5"), std::string::npos) << err;
+  // Voice is a fleet scenario, with no parameters.
+  spec.sweep.clear();
+  spec.scenario = "voice";
+  EXPECT_TRUE(core::validate_fleet_spec(spec, &err)) << err;
 }
 
 // --- Campaign determinism and failure semantics ------------------------------
@@ -258,7 +299,8 @@ TEST(FleetRun, ChaosCampaignIsByteIdenticalAcrossJobCounts) {
   FleetSpec spec;
   spec.scenario = "chaos";
   spec.seeds_per_point = 2;
-  spec.faults_spec = "crash=0.3,downtime=30";
+  spec.fixed.emplace_back("crash", 0.3);
+  spec.fixed.emplace_back("downtime", 30.0);
   spec.fixed.emplace_back("horizon", 120.0);
   spec.jobs = 1;
   const auto r1 = core::run_fleet(spec);
@@ -338,7 +380,7 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 3x"), 2);
   EXPECT_EQ(run_binary(cli + " --beta nope"), 2);
   EXPECT_EQ(run_binary(cli + " --horizon 10s"), 2);
-  EXPECT_EQ(run_binary(cli + " --dta 70ms"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --dta 70ms"), 2);
   EXPECT_EQ(run_binary(cli + " --series-interval 0"), 2);
   EXPECT_EQ(run_binary(cli + " --series-interval -5"), 2);
   EXPECT_EQ(run_binary(cli + " --series-interval fast"), 2);
@@ -356,13 +398,43 @@ TEST(CliRejection, GarbageNumericArgumentsExitTwo) {
   // loop forever or leave nothing to report.
   EXPECT_EQ(run_binary(cli + " --scenario indoor --sample 0"), 2);
   EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon 30 --sample 60"), 2);
+  // Non-finite and blank-led --faults numbers: these used to run a world
+  // with no faults, or with every downtime clamped to 1 s.
+  EXPECT_EQ(run_binary(cli + " --faults crash=nan --horizon 60"), 2);
+  EXPECT_EQ(run_binary(cli + " --faults downtime=inf --horizon 60"), 2);
+  EXPECT_EQ(run_binary(cli + " --faults crash=0.5,downtime=inf --horizon 60"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --faults 'crash= 0.3' --horizon 60"), 2);
+  // Typed, range-checked scenario parameters.
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --grid-nx 2.5"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --window -1"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --mode 7"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon -5"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon"), 2);
+}
+
+TEST(CliRejection, FlagsTheScenarioDoesNotTakeExitTwo) {
+  // Flags the chosen scenario never reads used to be accepted and ignored.
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  EXPECT_EQ(run_binary(cli +
+                       " --scenario indoor --horizon 120 --drain-sinks 2 "
+                       "--storage-policy coded --runs 3"),
+            2);
+  EXPECT_EQ(run_binary(cli + " --scenario outdoor --mode coop --sample 30"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon 120 --runs 3"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario voice --horizon 60"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario outdoor --faults crash=0.3"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --bogus 1"), 2);
+  // The same scenarios still run with the flags they do take.
+  EXPECT_EQ(run_binary(cli + " --scenario indoor --horizon 120 --gossip"), 0);
+  EXPECT_EQ(run_binary(cli + " --scenario mobile --runs 2 --dta 30"), 0);
 }
 
 TEST(CliRejection, BadErasureGeometryExitsTwo) {
   const std::string cli = ENVIROMIC_CLI_PATH;
-  EXPECT_EQ(run_binary(cli + " --coded-k 0"), 2);
-  EXPECT_EQ(run_binary(cli + " --coded-n 300"), 2);
-  EXPECT_EQ(run_binary(cli + " --coded-k 6 --coded-n 4"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --coded-k 0"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --coded-n 300"), 2);
+  EXPECT_EQ(run_binary(cli + " --scenario chaos --coded-k 6 --coded-n 4"), 2);
 }
 
 TEST(CliRejection, FleetBinaryRejectsBadArguments) {
@@ -381,11 +453,71 @@ TEST(CliRejection, FleetBinaryRejectsBadArguments) {
                        " --scenario selftest --series-interval 1 "
                        "--series-dir /tmp"),
             2);
+  // Strict --faults numbers and typed, range-checked --set values.
+  EXPECT_EQ(run_binary(fleet + " --faults crash=nan"), 2);
+  EXPECT_EQ(run_binary(fleet + " --faults downtime=inf"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set grid_nx=2.5"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set grid_nx=0"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set window=-1"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set horizon=-5"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario indoor --set mode=7"), 2);
+  EXPECT_EQ(run_binary(fleet + " --scenario indoor --set coded_k=2"), 2);
+  EXPECT_EQ(run_binary(fleet + " --set drain_resource=/chunks/bogus"), 2);
+  // Axis values are numbers, so a text parameter cannot be swept.
+  EXPECT_EQ(run_binary(fleet + " --sweep drain_resource=/chunks/all"), 2);
 }
 
 TEST(CliRejection, ValidArgumentsStillRun) {
   const std::string fleet = ENVIROMIC_FLEET_PATH;
   EXPECT_EQ(run_binary(fleet + " --scenario selftest --seeds 2 -j 2"), 0);
+}
+
+// --- CLI <-> fleet parity ----------------------------------------------------
+
+std::string capture_stdout(const std::string& cmd) {
+  std::string out;
+  std::FILE* p = ::popen((cmd + " 2>/dev/null").c_str(), "r");
+  if (p == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, p)) > 0) out.append(buf, n);
+  ::pclose(p);
+  return out;
+}
+
+/// The first `"metrics": {...}` object in `text`: the CLI's --json record,
+/// or the first row of a fleet report (the aggregates come after the rows).
+std::string first_metrics(const std::string& text) {
+  const auto at = text.find("\"metrics\": {");
+  if (at == std::string::npos) return "";
+  return text.substr(at, text.find('}', at) - at + 1);
+}
+
+TEST(CliFleetParity, FleetRowEqualsCliJsonRecord) {
+  // The same seed and the same parameter flags on both binaries must run
+  // the same world: the CLI's --json record and the fleet row carry the
+  // same metric literals byte for byte.
+  const std::string cli = ENVIROMIC_CLI_PATH;
+  const std::string fleet = ENVIROMIC_FLEET_PATH;
+  const char* cases[] = {
+      "--scenario indoor --horizon 630",
+      "--scenario mobile",
+      "--scenario outdoor --horizon 600",
+      "--scenario outdoor",
+      "--scenario voice",
+      "--scenario chaos --horizon 300",
+      "--scenario chaos --faults crash=0.3 --coded-k 2 --coded-n 4",
+  };
+  for (const char* args : cases) {
+    const std::string common = std::string(" --seed 11 ") + args;
+    const std::string from_cli = capture_stdout(cli + common + " --json -");
+    const std::string from_fleet =
+        capture_stdout(fleet + common + " --seeds 1 --out -");
+    EXPECT_NE(from_fleet.find("\"status\": \"ok\""), std::string::npos)
+        << args;
+    EXPECT_NE(first_metrics(from_cli), "") << args;
+    EXPECT_EQ(first_metrics(from_cli), first_metrics(from_fleet)) << args;
+  }
 }
 
 }  // namespace

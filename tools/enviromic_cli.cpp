@@ -10,39 +10,28 @@
 // plotting, --contours renders the spatial storage distribution.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "enviromic.h"
-#include "storage/erasure.h"
-#include "util/parse.h"
+#include "flags.h"
 
 using namespace enviromic;
 
 namespace {
 
-struct Args {
-  std::string scenario = "indoor";
-  core::Mode mode = core::Mode::kFull;
-  double beta = 2.0;
+/// Front-end options; scenario parameters resolve through the table.
+struct Options {
+  std::string scenario;  //!< empty: chaos when --faults is given, else indoor
   std::uint64_t seed = 7;
-  double horizon_s = 4400.0;
-  double sample_s = 60.0;
-  double trc_s = 1.0;
-  int dta_ms = 70;
-  int runs = 1;
+  int runs = 0;  //!< mobile repetitions; 0 = not given (one run)
+  const char* faults = nullptr;
+  /// Scenario flags in argv order: (flag, value; nullptr for a bare flag).
+  std::vector<std::pair<std::string, const char*>> params;
   bool csv = false;
   bool contours = false;
-  bool gossip = false;
-  core::StoragePolicy policy = core::StoragePolicy::kMigrate;
-  int coded_k = 3;
-  int coded_n = 5;
-  bool have_faults = false;
-  core::ChaosSpec chaos;
-  int drain_sinks = 0;
-  int drain_hops = 4;
-  std::string drain_resource = "/chunks/all";
   std::string trace_path;
   std::string series_path;
   double series_interval_s = 0.0;
@@ -50,259 +39,136 @@ struct Args {
   std::string json_path;
 };
 
-// Strict flag-value parsers: reject non-numeric, trailing-junk, and
-// out-of-range input with a diagnostic naming the flag, then exit 2 (the
-// same status parse() failures produce). `--seed garbage` used to be seed 0.
-std::uint64_t flag_u64(const char* flag, const char* value) {
-  std::uint64_t v = 0;
-  if (!util::parse_u64(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected an unsigned integer\n", flag,
-                 value);
-    std::exit(2);
-  }
-  return v;
-}
-
-int flag_int(const char* flag, const char* value) {
-  int v = 0;
-  if (!util::parse_int(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected an integer\n", flag, value);
-    std::exit(2);
-  }
-  return v;
-}
-
-double flag_double(const char* flag, const char* value) {
-  double v = 0.0;
-  if (!util::parse_double(value, &v)) {
-    std::fprintf(stderr, "bad %s '%s': expected a number\n", flag, value);
-    std::exit(2);
-  }
-  return v;
-}
-
 void usage() {
-  std::puts(
-      "usage: enviromic_cli [options]\n"
-      "  --scenario indoor|outdoor|mobile|voice|chaos (default indoor)\n"
-      "  --mode uncoordinated|coop|full           (default full)\n"
-      "  --beta <beta_max>                        (default 2)\n"
-      "  --gossip                                 global balancing strategy\n"
+  std::printf(
+      "usage: enviromic_cli [options] [scenario parameters]\n"
+      "  --scenario indoor|mobile|outdoor|voice|chaos  (default indoor;\n"
+      "      chaos when --faults is given)\n"
       "  --seed <n>                               (default 7)\n"
-      "  --horizon <seconds>                      (default 4400)\n"
-      "  --sample <seconds>                       snapshot period (60)\n"
-      "  --storage-policy migrate|coded           (default migrate)\n"
-      "  --coded-k <k>  --coded-n <n>             erasure geometry (3 of 5)\n"
-      "  --trc <seconds>  --dta <ms>              mobile scenario knobs\n"
-      "  --runs <n>                               repetitions (mobile)\n"
+      "  --runs <n>                               repetitions (mobile only)\n"
+      "  --faults k=v[,k=v...]                    [fault] parameters; implies\n"
+      "      chaos (e.g. --faults crash=0.3,downtime=60,burst=1)\n"
       "  --csv                                    CSV time series output\n"
       "  --json <path|->                          append one JSON record per\n"
       "      run ({\"scenario\",\"seed\",\"metrics\"}; - = stdout)\n"
       "  --contours                               storage contour at end\n"
       "  --log-level off|error|warn|info|debug|trace\n"
-      "  --trace <path>                           record a protocol trace;\n"
-      "      .jsonl extension dumps raw records, anything else writes\n"
-      "      Chrome-trace JSON (open in Perfetto / chrome://tracing); with\n"
-      "      --series too, the telemetry series become its counter tracks\n"
+      "  --trace <path>                           record a protocol trace:\n"
+      "      raw records for .jsonl, else Chrome-trace JSON (Perfetto /\n"
+      "      chrome://tracing) whose counter tracks are the --series\n"
       "  --series <path>                          telemetry time series\n"
-      "      (chaos only); .jsonl extension dumps JSONL, anything else\n"
-      "      CSV (one column per gauge, per-node gauges as name[node])\n"
+      "      (chaos only): JSONL for .jsonl, else CSV (one column per gauge,\n"
+      "      per-node gauges as name[node])\n"
       "  --series-interval <seconds>              telemetry sampling cadence\n"
-      "      (chaos only; > 0; default 1 when --series is given)\n"
-      "  --probe <name>=<value>                   declarative health probe\n"
-      "      (chaos only), repeatable; a trip dumps the flight-recorder\n"
-      "      tail and exits 1.\n"
+      "      (chaos only; default 1 when --series is given)\n"
+      "  --probe <name>=<value>                   health probe (chaos only,\n"
+      "      repeatable); a trip dumps the flight-recorder tail, exits 1.\n"
       "      names: wear_spread_max miss_ratio_max battery_floor\n"
       "             window_stalls_max channel_busy_max\n"
-      "  --faults k=v[,k=v...]                    fault plan; implies chaos\n"
-      "      keys: crash downtime permanent lose_data brownout brownout_len\n"
-      "            clockstep clockstep_max burst pgb pbg loss_bad loss_good\n"
-      "            asym   (e.g. --faults crash=0.3,downtime=60,burst=1)\n"
-      "  --drain-sinks <0..4>                     chaos scenario: corner sinks\n"
-      "      that flood spanning-tree drain queries at the horizon (0 = off)\n"
-      "  --drain-hops <n>                         drain flood depth (4)\n"
-      "  --drain-resource <path>                  what the sinks ask for:\n"
-      "      /chunks/all | /chunks/time/<from>-<to> | /chunks/source/<id>\n");
+      "\n%s",
+      core::describe_params().c_str());
 }
 
-bool parse(int argc, char** argv, Args& args) {
+Options parse(int argc, char** argv) {
+  Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", what);
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+    auto next = [&] { return tools::flag_value(argc, argv, i); };
     if (a == "--scenario") {
-      args.scenario = next("--scenario");
-    } else if (a == "--mode") {
-      const std::string m = next("--mode");
-      if (m == "uncoordinated") args.mode = core::Mode::kUncoordinated;
-      else if (m == "coop") args.mode = core::Mode::kCooperativeOnly;
-      else if (m == "full") args.mode = core::Mode::kFull;
-      else return false;
-    } else if (a == "--beta") {
-      args.beta = flag_double("--beta", next("--beta"));
-    } else if (a == "--gossip") {
-      args.gossip = true;
-    } else if (a == "--storage-policy") {
-      const std::string p = next("--storage-policy");
-      if (p == "migrate") args.policy = core::StoragePolicy::kMigrate;
-      else if (p == "coded") args.policy = core::StoragePolicy::kCoded;
-      else {
-        std::fprintf(stderr, "unknown storage policy %s\n", p.c_str());
-        return false;
-      }
-    } else if (a == "--coded-k") {
-      args.coded_k = flag_int("--coded-k", next("--coded-k"));
-    } else if (a == "--coded-n") {
-      args.coded_n = flag_int("--coded-n", next("--coded-n"));
+      opt.scenario = next();
     } else if (a == "--seed") {
-      args.seed = flag_u64("--seed", next("--seed"));
-    } else if (a == "--horizon") {
-      args.horizon_s = flag_double("--horizon", next("--horizon"));
-    } else if (a == "--sample") {
-      args.sample_s = flag_double("--sample", next("--sample"));
-    } else if (a == "--trc") {
-      args.trc_s = flag_double("--trc", next("--trc"));
-    } else if (a == "--dta") {
-      args.dta_ms = flag_int("--dta", next("--dta"));
+      opt.seed = tools::flag_u64("--seed", next());
     } else if (a == "--runs") {
-      args.runs = flag_int("--runs", next("--runs"));
-      if (args.runs < 1) {
-        std::fprintf(stderr, "bad --runs %d (need >= 1)\n", args.runs);
-        return false;
-      }
+      opt.runs = static_cast<int>(tools::flag_number(
+          "--runs", next(), core::ParamKind::kInt, 1, 1e6));
     } else if (a == "--faults") {
-      std::string err;
-      if (!core::parse_fault_spec(next("--faults"), args.chaos, err)) {
-        std::fprintf(stderr, "bad --faults spec: %s\n", err.c_str());
-        return false;
-      }
-      args.have_faults = true;
-    } else if (a == "--drain-sinks") {
-      args.drain_sinks = flag_int("--drain-sinks", next("--drain-sinks"));
-      if (args.drain_sinks < 0 || args.drain_sinks > 4) {
-        std::fprintf(stderr, "bad --drain-sinks %d (need 0..4)\n",
-                     args.drain_sinks);
-        return false;
-      }
-    } else if (a == "--drain-hops") {
-      args.drain_hops = flag_int("--drain-hops", next("--drain-hops"));
-      if (args.drain_hops < 1 || args.drain_hops > 255) {
-        std::fprintf(stderr, "bad --drain-hops %d (need 1..255)\n",
-                     args.drain_hops);
-        return false;
-      }
-    } else if (a == "--drain-resource") {
-      args.drain_resource = next("--drain-resource");
-      if (!core::parse_resource(args.drain_resource)) {
-        std::fprintf(stderr,
-                     "bad --drain-resource '%s': expected /chunks/all, "
-                     "/chunks/time/<from>-<to>, or /chunks/source/<id>\n",
-                     args.drain_resource.c_str());
-        return false;
-      }
+      opt.faults = next();
     } else if (a == "--log-level") {
-      const std::string lv = next("--log-level");
-      if (lv == "off") sim::set_log_level(sim::LogLevel::kOff);
-      else if (lv == "error") sim::set_log_level(sim::LogLevel::kError);
-      else if (lv == "warn") sim::set_log_level(sim::LogLevel::kWarn);
-      else if (lv == "info") sim::set_log_level(sim::LogLevel::kInfo);
-      else if (lv == "debug") sim::set_log_level(sim::LogLevel::kDebug);
-      else if (lv == "trace") sim::set_log_level(sim::LogLevel::kTrace);
-      else {
-        std::fprintf(stderr, "unknown log level %s\n", lv.c_str());
-        return false;
-      }
+      sim::set_log_level(static_cast<sim::LogLevel>(
+          tools::flag_number("--log-level", next(), core::ParamKind::kEnum, 0,
+                             5, "off|error|warn|info|debug|trace")));
     } else if (a == "--trace") {
-      args.trace_path = next("--trace");
+      opt.trace_path = next();
     } else if (a == "--json") {
-      args.json_path = next("--json");
+      opt.json_path = next();
     } else if (a == "--series") {
-      args.series_path = next("--series");
+      opt.series_path = next();
     } else if (a == "--series-interval") {
-      args.series_interval_s =
-          flag_double("--series-interval", next("--series-interval"));
-      if (args.series_interval_s <= 0.0) {
-        std::fprintf(stderr, "bad --series-interval %g (need > 0)\n",
-                     args.series_interval_s);
-        return false;
-      }
+      opt.series_interval_s = tools::flag_number(
+          "--series-interval", next(), core::ParamKind::kReal, 1e-3, 1e8);
     } else if (a == "--probe") {
       core::HealthProbe p;
       std::string err;
-      if (!core::parse_health_probe(next("--probe"), &p, &err)) {
-        std::fprintf(stderr, "bad --probe: %s\n", err.c_str());
-        return false;
+      if (!core::parse_health_probe(next(), &p, &err)) {
+        tools::fail("bad --probe: " + err);
       }
-      args.probes.push_back(std::move(p));
+      opt.probes.push_back(std::move(p));
     } else if (a == "--csv") {
-      args.csv = true;
+      opt.csv = true;
     } else if (a == "--contours") {
-      args.contours = true;
+      opt.contours = true;
     } else if (a == "--help" || a == "-h") {
       usage();
       std::exit(0);
+    } else if (a.rfind("--", 0) == 0) {
+      opt.params.emplace_back(a, tools::optional_value(argc, argv, i));
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return false;
+      tools::fail("unknown option " + a);
     }
   }
-  const bool chaos = args.have_faults || args.scenario == "chaos";
-  if (!chaos && (!args.series_path.empty() || args.series_interval_s > 0.0 ||
-                 !args.probes.empty())) {
-    std::fprintf(stderr,
-                 "--series, --series-interval and --probe apply to the chaos "
-                 "scenario only\n");
-    return false;
+  return opt;
+}
+
+/// Resolve the scenario and every scenario flag through the table; exit 2
+/// on a flag the scenario has no entry for, or a bad value.
+core::ParamList resolve(const Options& opt, const core::Scenario& sc) {
+  core::ParamList settings;
+  std::string err;
+  if (opt.faults != nullptr &&
+      !core::parse_faults(sc, opt.faults, &settings, &err)) {
+    tools::fail("bad --faults: " + err);
   }
-  std::string geom_err;
-  if (!storage::ErasureCodec::validate_geometry(args.coded_k, args.coded_n,
-                                                &geom_err)) {
-    std::fprintf(stderr, "bad erasure geometry: %s\n", geom_err.c_str());
-    return false;
+  for (const auto& [flag, value] : opt.params) {
+    if (!core::parse_setting(sc, flag, value, &settings.emplace_back(), &err)) {
+      tools::fail("bad " + flag + ": " + err);
+    }
   }
-  return true;
+  const std::string name = sc.name;
+  if (name != "chaos" && (!opt.series_path.empty() ||
+                          opt.series_interval_s > 0.0 || !opt.probes.empty())) {
+    tools::fail("--series, --series-interval and --probe apply to the chaos "
+                "scenario only");
+  }
+  if (opt.runs != 0 && name != "mobile") {
+    tools::fail("--runs applies to the mobile scenario only");
+  }
+  if (!core::validate(sc, settings, &err)) tools::fail("bad: " + err);
+  return settings;
 }
 
 /// Append one run's machine-readable record to --json PATH ("-" = stdout).
-void emit_json_record(const Args& args, const std::string& scenario,
+void emit_json_record(const Options& opt, const std::string& scenario,
                       std::uint64_t seed, const core::RunRecord& rec) {
-  if (args.json_path.empty()) return;
+  if (opt.json_path.empty()) return;
   const std::string line = core::run_record_json(scenario, seed, rec) + "\n";
-  if (args.json_path == "-") {
+  if (opt.json_path == "-") {
     std::fwrite(line.data(), 1, line.size(), stdout);
     return;
   }
-  std::FILE* f = std::fopen(args.json_path.c_str(), "a");
+  std::FILE* f = std::fopen(opt.json_path.c_str(), "a");
   if (f == nullptr) {
-    std::fprintf(stderr, "cannot open --json %s\n", args.json_path.c_str());
+    std::fprintf(stderr, "cannot open --json %s\n", opt.json_path.c_str());
     return;
   }
   std::fwrite(line.data(), 1, line.size(), f);
   std::fclose(f);
 }
 
-int run_indoor_cli(const Args& args) {
-  core::IndoorRunConfig cfg;
-  cfg.mode = args.mode;
-  cfg.beta_max = args.beta;
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
-  cfg.sample_period = sim::Time::seconds(args.sample_s);
-  if (cfg.sample_period <= sim::Time::zero() ||
-      cfg.sample_period > cfg.horizon) {
-    std::fprintf(stderr, "bad --sample %g (need > 0 and <= --horizon %g)\n",
-                 args.sample_s, args.horizon_s);
-    return 2;
-  }
-  if (args.gossip) cfg.balance_strategy = core::BalanceStrategy::kGlobalGossip;
+int run_indoor_cli(const Options& opt, const core::ParamList& settings) {
+  const auto cfg = core::make_configs(opt.seed, settings).indoor;
   const auto res = core::run_indoor(cfg);
-  emit_json_record(args, "indoor", cfg.seed, core::indoor_run_record(res));
-  if (args.csv) {
+  emit_json_record(opt, "indoor", cfg.seed, core::indoor_run_record(res));
+  if (opt.csv) {
     util::Table t({"t_s", "miss", "redundancy", "messages"});
     for (const auto& s : res.series) {
       t.add_row({util::fmt(s.t.to_seconds(), 0), util::fmt(s.miss_ratio),
@@ -312,13 +178,15 @@ int run_indoor_cli(const Args& args) {
     t.print_csv(std::cout);
   }
   const auto& last = res.series.back();
+  const bool gossip =
+      cfg.balance_strategy == core::BalanceStrategy::kGlobalGossip;
   std::printf("indoor[%s beta=%.0f%s] t=%.0fs miss=%.3f redundancy=%.3f "
               "messages=%llu\n",
-              core::mode_name(args.mode), args.beta,
-              args.gossip ? " gossip" : "", last.t.to_seconds(),
+              core::mode_name(cfg.mode), cfg.beta_max,
+              gossip ? " gossip" : "", last.t.to_seconds(),
               last.miss_ratio, last.redundancy_ratio,
               static_cast<unsigned long long>(last.total_messages));
-  if (args.contours) {
+  if (opt.contours) {
     util::Grid grid(static_cast<std::size_t>(res.grid_nx),
                     static_cast<std::size_t>(res.grid_ny));
     for (std::size_t i = 0; i < last.per_node_used_bytes.size(); ++i) {
@@ -330,34 +198,33 @@ int run_indoor_cli(const Args& args) {
   return 0;
 }
 
-int run_mobile_cli(const Args& args) {
+int run_mobile_cli(const Options& opt, const core::ParamList& settings) {
+  const int runs = opt.runs > 0 ? opt.runs : 1;
   std::vector<double> misses;
-  for (int r = 0; r < args.runs; ++r) {
-    core::MobileRunConfig cfg;
+  core::MobileRunConfig cfg;
+  for (int r = 0; r < runs; ++r) {
     // Run 0 stays on the base seed; later runs are splitmix64-derived so
     // adjacent base seeds never share worlds (seed 7 run 1 used to be the
     // same world as seed 8 run 0 under the old `seed + r` rule).
-    cfg.seed = core::derive_run_seed(args.seed, static_cast<std::uint64_t>(r));
-    cfg.task_period = sim::Time::seconds(args.trc_s);
-    cfg.task_assign_delay = sim::Time::millis(args.dta_ms);
+    cfg = core::make_configs(
+              core::derive_run_seed(opt.seed, static_cast<std::uint64_t>(r)),
+              settings)
+              .mobile;
     const auto res = core::run_mobile(cfg);
-    emit_json_record(args, "mobile", cfg.seed, core::mobile_run_record(res));
+    emit_json_record(opt, "mobile", cfg.seed, core::mobile_run_record(res));
     misses.push_back(res.miss_ratio);
   }
-  std::printf("mobile[Trc=%.1fs Dta=%dms] runs=%d miss=%.3f ci90=%.3f\n",
-              args.trc_s, args.dta_ms, args.runs, util::mean(misses),
-              util::ci90_halfwidth(misses));
+  std::printf("mobile[Trc=%.1fs Dta=%.0fms] runs=%d miss=%.3f ci90=%.3f\n",
+              cfg.task_period.to_seconds(), cfg.task_assign_delay.to_millis(),
+              runs, util::mean(misses), util::ci90_halfwidth(misses));
   return 0;
 }
 
-int run_outdoor_cli(const Args& args) {
-  core::OutdoorRunConfig cfg;
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
-  cfg.beta_max = args.beta;
+int run_outdoor_cli(const Options& opt, const core::ParamList& settings) {
+  const auto cfg = core::make_configs(opt.seed, settings).outdoor;
   const auto res = core::run_outdoor(cfg);
-  emit_json_record(args, "outdoor", cfg.seed, core::outdoor_run_record(res));
-  if (args.csv) {
+  emit_json_record(opt, "outdoor", cfg.seed, core::outdoor_run_record(res));
+  if (opt.csv) {
     util::Table t({"minute", "recorded_s"});
     for (std::size_t m = 0; m < res.recorded_seconds_per_minute.size(); ++m) {
       t.add_row({util::fmt(static_cast<long long>(m)),
@@ -371,48 +238,28 @@ int run_outdoor_cli(const Args& args) {
   return 0;
 }
 
-int run_voice_cli(const Args& args) {
-  core::VoiceRunConfig cfg;
-  cfg.seed = args.seed;
+int run_voice_cli(const Options& opt, const core::ParamList& settings) {
+  const auto cfg = core::make_configs(opt.seed, settings).voice;
   const auto res = core::run_voice(cfg);
-  emit_json_record(args, "voice", cfg.seed, core::voice_run_record(res));
+  emit_json_record(opt, "voice", cfg.seed, core::voice_run_record(res));
   std::printf("voice coverage=%.1f%% envelope_correlation=%.3f\n",
               res.stitched_coverage * 100.0, res.envelope_correlation);
   return 0;
 }
 
-int run_chaos_cli(const Args& args) {
-  core::ChaosRunConfig cfg;
-  cfg.seed = args.seed;
-  cfg.horizon = sim::Time::seconds(args.horizon_s);
-  cfg.beta_max = args.beta;
-  if (args.series_interval_s > 0.0) {
-    cfg.series_interval = sim::Time::seconds(args.series_interval_s);
-  } else if (!args.series_path.empty()) {
+int run_chaos_cli(const Options& opt, const core::ParamList& settings) {
+  auto cfg = core::make_configs(opt.seed, settings).chaos;
+  if (opt.series_interval_s > 0.0) {
+    cfg.series_interval = sim::Time::seconds(opt.series_interval_s);
+  } else if (!opt.series_path.empty()) {
     cfg.series_interval = sim::Time::seconds_i(1);
   }
-  cfg.health_probes = args.probes;
-  cfg.storage_policy = args.policy;
-  cfg.coded_k = args.coded_k;
-  cfg.coded_n = args.coded_n;
-  cfg.drain_sinks = args.drain_sinks;
-  cfg.drain_hops = args.drain_hops;
-  cfg.drain_resource = args.drain_resource;
-  if (args.have_faults) {
-    cfg.faults = args.chaos.faults;
-    cfg.burst = args.chaos.burst;
-    cfg.link_asymmetry_max = args.chaos.link_asymmetry_max;
-  } else {
-    // Bare `--scenario chaos`: a representative default storm.
-    cfg.faults.crash_probability = 0.3;
-    cfg.faults.downtime_mean = sim::Time::seconds_i(60);
-    cfg.burst.enabled = true;
-  }
+  cfg.health_probes = opt.probes;
   const auto res = core::run_chaos(cfg);
-  emit_json_record(args, "chaos", cfg.seed, core::chaos_run_record(res));
+  emit_json_record(opt, "chaos", cfg.seed, core::chaos_run_record(res));
   const auto& f = res.final_snapshot.faults;
   std::printf("chaos[seed=%llu] nodes=%zu chunks=%llu miss=%.3f\n",
-              static_cast<unsigned long long>(args.seed), res.nodes,
+              static_cast<unsigned long long>(cfg.seed), res.nodes,
               static_cast<unsigned long long>(res.live_chunks),
               res.final_snapshot.miss_ratio);
   std::printf(
@@ -452,7 +299,7 @@ int run_chaos_cli(const Args& args) {
   std::printf(
       "  payloads[%s]: total=%llu reconstructible=%llu lost_to_death=%llu "
       "overhead=%.2fx\n",
-      core::policy_name(args.policy),
+      core::policy_name(cfg.storage_policy),
       static_cast<unsigned long long>(res.payloads_total),
       static_cast<unsigned long long>(res.payloads_reconstructible),
       static_cast<unsigned long long>(res.payloads_lost_to_death), overhead);
@@ -461,7 +308,7 @@ int run_chaos_cli(const Args& args) {
         "  retrieval[%s sinks=%u hops=%d]: eligible=%llu collected=%llu "
         "miss=%.3f span=%.1fs double_uploads=%llu relayed=%u "
         "descriptor_acks=%u relay_fallbacks=%u\n",
-        args.drain_resource.c_str(), res.retrieval_sinks, args.drain_hops,
+        cfg.drain_resource.c_str(), res.retrieval_sinks, cfg.drain_hops,
         static_cast<unsigned long long>(res.retrieval_eligible),
         static_cast<unsigned long long>(res.retrieval_collected),
         res.retrieval_miss_ratio, res.retrieval_drain_span.to_seconds(),
@@ -470,11 +317,11 @@ int run_chaos_cli(const Args& args) {
         res.final_snapshot.retrieval_descriptor_acks,
         res.final_snapshot.retrieval_relay_fallbacks);
   }
-  if (args.policy == core::StoragePolicy::kCoded) {
+  if (cfg.storage_policy == core::StoragePolicy::kCoded) {
     std::printf(
         "  coded[k=%d n=%d]: chunks=%u frags_placed=%u frags_failed=%u "
         "released=%u kept=%u decode: reconstructed=%llu partial=%llu\n",
-        args.coded_k, args.coded_n, res.coded.chunks_coded,
+        cfg.coded_k, cfg.coded_n, res.coded.chunks_coded,
         res.coded.fragments_placed, res.coded.fragments_failed,
         res.coded.originals_released, res.coded.originals_kept,
         static_cast<unsigned long long>(res.decode.groups_reconstructed),
@@ -496,69 +343,71 @@ int run_chaos_cli(const Args& args) {
 
 }  // namespace
 
-int dispatch(const Args& args) {
-  if (args.have_faults || args.scenario == "chaos") return run_chaos_cli(args);
-  if (args.scenario == "indoor") return run_indoor_cli(args);
-  if (args.scenario == "mobile") return run_mobile_cli(args);
-  if (args.scenario == "outdoor") return run_outdoor_cli(args);
-  if (args.scenario == "voice") return run_voice_cli(args);
-  usage();
-  return 2;
+int dispatch(const Options& opt, const std::string& scenario,
+             const core::ParamList& settings) {
+  if (scenario == "indoor") return run_indoor_cli(opt, settings);
+  if (scenario == "mobile") return run_mobile_cli(opt, settings);
+  if (scenario == "outdoor") return run_outdoor_cli(opt, settings);
+  if (scenario == "voice") return run_voice_cli(opt, settings);
+  return run_chaos_cli(opt, settings);
 }
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!parse(argc, argv, args)) {
-    usage();
-    return 2;
+  const Options opt = parse(argc, argv);
+  const std::string name = !opt.scenario.empty() ? opt.scenario
+                           : opt.faults != nullptr ? "chaos"
+                                                   : "indoor";
+  const core::Scenario* sc = core::find_scenario(name);
+  if (sc == nullptr) tools::fail("unknown scenario " + name);
+  const core::ParamList settings = resolve(opt, *sc);
+  if (opt.trace_path.empty() && opt.series_path.empty()) {
+    return dispatch(opt, name, settings);
   }
-  if (args.trace_path.empty() && args.series_path.empty())
-    return dispatch(args);
 
   auto ends_with_jsonl = [](const std::string& p) {
     return p.size() >= 6 && p.compare(p.size() - 6, 6, ".jsonl") == 0;
   };
-  if (!args.trace_path.empty()) sim::Trace::instance().enable();
-  if (!args.series_path.empty()) {
+  if (!opt.trace_path.empty()) sim::Trace::instance().enable();
+  if (!opt.series_path.empty()) {
     // Start the run with a cold recorder so the export holds exactly this
     // run's samples. (Health probes without --series enable/clear inside
     // run_chaos instead; nothing to export.)
     sim::Telemetry::instance().clear();
     sim::Telemetry::instance().enable();
   }
-  int rc = dispatch(args);
-  if (!args.trace_path.empty()) {
+  int rc = dispatch(opt, name, settings);
+  if (!opt.trace_path.empty()) {
     auto& trace = sim::Trace::instance();
     trace.disable();
     const sim::Telemetry* counters =
-        args.series_path.empty() ? nullptr : &sim::Telemetry::instance();
-    const bool ok = ends_with_jsonl(args.trace_path)
-                        ? trace.export_jsonl(args.trace_path)
-                        : trace.export_chrome_trace(args.trace_path, counters);
+        opt.series_path.empty() ? nullptr : &sim::Telemetry::instance();
+    const bool ok = ends_with_jsonl(opt.trace_path)
+                        ? trace.export_jsonl(opt.trace_path)
+                        : trace.export_chrome_trace(opt.trace_path, counters);
     if (!ok) {
       std::fprintf(stderr, "failed to write trace to %s\n",
-                   args.trace_path.c_str());
+                   opt.trace_path.c_str());
       if (rc == 0) rc = 1;
     } else {
       std::fprintf(stderr, "trace: %llu records (%zu kept) -> %s\n",
                    static_cast<unsigned long long>(trace.total_recorded()),
-                   trace.size(), args.trace_path.c_str());
+                   trace.size(), opt.trace_path.c_str());
     }
   }
-  if (!args.series_path.empty()) {
+  if (!opt.series_path.empty()) {
     auto& tel = sim::Telemetry::instance();
     tel.disable();
-    const bool ok = ends_with_jsonl(args.series_path)
-                        ? tel.export_jsonl(args.series_path)
-                        : tel.export_csv(args.series_path);
+    const bool ok = ends_with_jsonl(opt.series_path)
+                        ? tel.export_jsonl(opt.series_path)
+                        : tel.export_csv(opt.series_path);
     if (!ok) {
       std::fprintf(stderr, "failed to write series to %s\n",
-                   args.series_path.c_str());
+                   opt.series_path.c_str());
       if (rc == 0) rc = 1;
     } else {
       std::fprintf(stderr, "series: %zu samples x %zu series -> %s\n",
                    tel.sample_count(), tel.series_count(),
-                   args.series_path.c_str());
+                   opt.series_path.c_str());
     }
   }
   return rc;

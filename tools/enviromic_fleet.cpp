@@ -19,9 +19,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
+#include "flags.h"
+#include "util/csv.h"
 #include "util/parse.h"
 
 using namespace enviromic;
@@ -29,20 +32,18 @@ using namespace enviromic;
 namespace {
 
 void usage() {
-  std::puts(
-      "usage: enviromic_fleet [options]\n"
-      "  --scenario chaos|indoor|mobile|outdoor|selftest  (default chaos)\n"
+  std::printf(
+      "usage: enviromic_fleet [options] [scenario parameters]\n"
+      "  --scenario chaos|indoor|mobile|outdoor|voice|selftest\n"
+      "      (default chaos)\n"
       "  --seed <n>                base seed (default 7); world seeds are\n"
       "      derive_run_seed(base, i) like enviromic_cli --runs\n"
       "  --seeds <n>               worlds per parameter point (default 8)\n"
       "  --sweep name=v1,v2,...    sweep axis; repeat for a grid (cross\n"
       "      product, first axis slowest)\n"
       "  --set name=value          fixed parameter for every world; repeat\n"
-      "  --faults k=v[,k=v...]     chaos fault spec (parse_fault_spec keys)\n"
-      "  --horizon <seconds>       sugar for --set horizon=<s>\n"
-      "  --beta <beta_max>         sugar for --set beta=<v>\n"
-      "  --storage-policy migrate|coded   sugar for --set coded=0|1\n"
-      "  --coded-k <k> --coded-n <n>      erasure geometry (3 of 5)\n"
+      "      (--name value is the same)\n"
+      "  --faults k=v[,k=v...]     chaos fault parameters, applied first\n"
       "  -j, --jobs <n>            concurrent worker processes (default 1)\n"
       "  --timeout-s <seconds>     per-attempt wall-clock budget (0 = none)\n"
       "  --retries <n>             extra attempts per failed world (default 1)\n"
@@ -58,72 +59,8 @@ void usage() {
       "      <series-dir>/merged_bands.csv\n"
       "\n"
       "exit: 0 all worlds ok, 1 some world failed, 2 bad arguments\n"
-      "\n"
-      "chaos parameters: horizon grace beta flash_scale grid_nx grid_ny\n"
-      "  spacing crash downtime permanent lose_data brownout brownout_len\n"
-      "  clockstep clockstep_max burst asym coded coded_k coded_n replicas\n"
-      "  window census\n"
-      "indoor: horizon beta flash_scale mode grid_nx grid_ny\n"
-      "mobile: trc dta prelude event_s grid_nx grid_ny\n"
-      "outdoor: horizon beta nodes plot_ft\n");
-}
-
-[[noreturn]] void die(const std::string& msg) {
-  std::fprintf(stderr, "enviromic_fleet: %s\n", msg.c_str());
-  std::exit(2);
-}
-
-std::uint64_t flag_u64(const char* flag, const char* value) {
-  std::uint64_t v = 0;
-  if (!util::parse_u64(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value +
-        "': expected an unsigned integer");
-  }
-  return v;
-}
-
-int flag_int(const char* flag, const char* value) {
-  int v = 0;
-  if (!util::parse_int(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value + "': expected an integer");
-  }
-  return v;
-}
-
-double flag_double(const char* flag, const char* value) {
-  double v = 0.0;
-  if (!util::parse_double(value, &v)) {
-    die(std::string("bad ") + flag + " '" + value + "': expected a number");
-  }
-  return v;
-}
-
-/// Split "name=v1,v2,..." into an axis with strictly parsed values.
-core::FleetAxis parse_axis(const char* flag, const std::string& spec) {
-  const auto eq = spec.find('=');
-  if (eq == std::string::npos || eq == 0) {
-    die(std::string("bad ") + flag + " '" + spec + "': expected name=v1,v2,...");
-  }
-  core::FleetAxis axis;
-  axis.name = spec.substr(0, eq);
-  std::size_t pos = eq + 1;
-  while (pos <= spec.size()) {
-    auto comma = spec.find(',', pos);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string tok = spec.substr(pos, comma - pos);
-    double v = 0.0;
-    if (!util::parse_double(tok.c_str(), &v)) {
-      die(std::string("bad ") + flag + " value '" + tok + "' in '" + spec +
-          "': expected a number");
-    }
-    axis.values.push_back(v);
-    pos = comma + 1;
-  }
-  return axis;
-}
-
-void set_fixed(core::FleetSpec& spec, const std::string& name, double value) {
-  spec.fixed.emplace_back(name, value);
+      "\n%s",
+      core::describe_params().c_str());
 }
 
 }  // namespace
@@ -134,125 +71,114 @@ int main(int argc, char** argv) {
   std::string csv_path;
   std::string resume_path;
   std::string series_out_path;
-  int coded_k = 3, coded_n = 5;
-  bool coded = false, have_geometry = false;
+  // Parameters resolve once the scenario is known: (name or flag, value;
+  // nullptr for a bare flag).
+  std::vector<std::pair<std::string, const char*>> sets, sweeps;
+  const char* faults = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) die(std::string("missing value for ") + what);
-      return argv[++i];
-    };
+    auto next = [&] { return tools::flag_value(argc, argv, i); };
     if (a == "--scenario") {
-      spec.scenario = next("--scenario");
+      spec.scenario = next();
     } else if (a == "--seed") {
-      spec.base_seed = flag_u64("--seed", next("--seed"));
+      spec.base_seed = tools::flag_u64("--seed", next());
     } else if (a == "--seeds") {
-      spec.seeds_per_point = flag_int("--seeds", next("--seeds"));
-      if (spec.seeds_per_point < 1) die("bad --seeds: need >= 1");
-    } else if (a == "--sweep") {
-      spec.sweep.push_back(parse_axis("--sweep", next("--sweep")));
-    } else if (a == "--set") {
-      const std::string kv = next("--set");
-      const auto eq = kv.find('=');
-      if (eq == std::string::npos || eq == 0) {
-        die("bad --set '" + kv + "': expected name=value");
+      spec.seeds_per_point = static_cast<int>(tools::flag_number(
+          "--seeds", next(), core::ParamKind::kInt, 1, 1e6));
+    } else if (a == "--set" || a == "--sweep") {
+      const char* kv = next();
+      const char* eq = std::strchr(kv, '=');
+      if (eq == nullptr || eq == kv) {
+        tools::fail("bad " + a + " '" + kv + "': expected name=value");
       }
-      double v = 0.0;
-      if (!util::parse_double(kv.c_str() + eq + 1, &v)) {
-        die("bad --set '" + kv + "': expected a number after '='");
-      }
-      set_fixed(spec, kv.substr(0, eq), v);
+      (a == "--set" ? sets : sweeps).emplace_back(std::string(kv, eq), eq + 1);
     } else if (a == "--faults") {
-      spec.faults_spec = next("--faults");
-    } else if (a == "--horizon") {
-      set_fixed(spec, "horizon", flag_double("--horizon", next("--horizon")));
-    } else if (a == "--beta") {
-      set_fixed(spec, "beta", flag_double("--beta", next("--beta")));
-    } else if (a == "--storage-policy") {
-      const std::string p = next("--storage-policy");
-      if (p == "migrate") coded = false;
-      else if (p == "coded") coded = true;
-      else die("unknown storage policy '" + p + "'");
-      set_fixed(spec, "coded", coded ? 1.0 : 0.0);
-    } else if (a == "--coded-k") {
-      coded_k = flag_int("--coded-k", next("--coded-k"));
-      have_geometry = true;
-    } else if (a == "--coded-n") {
-      coded_n = flag_int("--coded-n", next("--coded-n"));
-      have_geometry = true;
+      faults = next();
     } else if (a == "-j" || a == "--jobs") {
-      spec.jobs = flag_int("--jobs", next("--jobs"));
-      if (spec.jobs < 1) die("bad --jobs: need >= 1");
+      spec.jobs = static_cast<int>(tools::flag_number(
+          "--jobs", next(), core::ParamKind::kInt, 1, 4096));
     } else if (a == "--timeout-s") {
-      spec.timeout_s = flag_double("--timeout-s", next("--timeout-s"));
-      if (spec.timeout_s < 0.0) die("bad --timeout-s: need >= 0");
+      spec.timeout_s = tools::flag_number("--timeout-s", next(),
+                                          core::ParamKind::kReal, 0.0, 1e8);
     } else if (a == "--retries") {
-      spec.retries = flag_int("--retries", next("--retries"));
-      if (spec.retries < 0) die("bad --retries: need >= 0");
+      spec.retries = static_cast<int>(tools::flag_number(
+          "--retries", next(), core::ParamKind::kInt, 0, 1e3));
     } else if (a == "--out") {
-      out_path = next("--out");
+      out_path = next();
     } else if (a == "--csv") {
-      csv_path = next("--csv");
+      csv_path = next();
     } else if (a == "--resume") {
-      resume_path = next("--resume");
+      resume_path = next();
     } else if (a == "--series-interval") {
-      spec.series_interval_s =
-          flag_double("--series-interval", next("--series-interval"));
-      if (spec.series_interval_s <= 0.0) {
-        die("bad --series-interval: need > 0");
-      }
+      spec.series_interval_s = tools::flag_number(
+          "--series-interval", next(), core::ParamKind::kReal, 1e-3, 1e8);
     } else if (a == "--series-dir") {
-      spec.series_dir = next("--series-dir");
+      spec.series_dir = next();
     } else if (a == "--series-out") {
-      series_out_path = next("--series-out");
+      series_out_path = next();
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
+    } else if (a.rfind("--", 0) == 0) {
+      sets.emplace_back(a, tools::optional_value(argc, argv, i));
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      usage();
-      return 2;
+      tools::fail("unknown option " + a);
     }
   }
 
-  if (have_geometry) {
-    // Geometry flags imply coded storage unless --storage-policy said
-    // otherwise; validate_fleet_spec re-checks through
-    // ErasureCodec::validate_geometry and names the GF(2^8) constraint.
-    set_fixed(spec, "coded_k", coded_k);
-    set_fixed(spec, "coded_n", coded_n);
-    bool policy_set = false;
-    for (const auto& [name, value] : spec.fixed) {
-      (void)value;
-      if (name == "coded") policy_set = true;
-    }
-    if (!policy_set) set_fixed(spec, "coded", 1.0);
+  // Selftest parameters are plain numbers; a table scenario's go through
+  // the table.
+  const core::Scenario* sc = core::find_scenario(spec.scenario);
+  auto parse = [&](const std::string& name, const char* text) {
+    core::ParamSetting s{name, 0.0, {}};
+    std::string err = "not a number";
+    const bool ok = sc != nullptr
+                        ? core::parse_setting(*sc, name, text, &s, &err)
+                        : text != nullptr && util::parse_double(text, &s.value);
+    if (!ok) tools::fail("bad " + name + ": " + err);
+    return s;
+  };
+  std::string err = "chaos only";
+  if (faults != nullptr &&
+      (sc == nullptr || !core::parse_faults(*sc, faults, &spec.fixed, &err))) {
+    tools::fail("bad --faults: " + err);
   }
+  for (const auto& [name, text] : sets) spec.fixed.push_back(parse(name, text));
+  for (const auto& [name, text] : sweeps) {
+    core::FleetAxis axis;
+    for (const auto& value : util::split_commas(text)) {
+      const auto s = parse(name, value.c_str());
+      axis.name = s.name;
+      axis.values.push_back(s.value);
+    }
+    spec.sweep.push_back(std::move(axis));
+  }
+  if (!core::validate_fleet_spec(spec, &err)) tools::fail(err);
 
   std::string resume_report;
   if (!resume_path.empty()) {
     std::ifstream in(resume_path);
-    if (!in) die("cannot read --resume " + resume_path);
+    if (!in) tools::fail("cannot read --resume " + resume_path);
     std::ostringstream buf;
     buf << in.rdbuf();
     resume_report = buf.str();
   }
 
   const auto result = core::run_fleet(spec, resume_report);
-  if (!result.ok()) die(result.error);
+  if (!result.ok()) tools::fail(result.error);
 
   if (out_path == "-") {
     std::fwrite(result.report_json.data(), 1, result.report_json.size(),
                 stdout);
   } else {
     std::ofstream out(out_path, std::ios::trunc);
-    if (!out) die("cannot write --out " + out_path);
+    if (!out) tools::fail("cannot write --out " + out_path);
     out << result.report_json;
   }
   if (!csv_path.empty()) {
     std::ofstream out(csv_path, std::ios::trunc);
-    if (!out) die("cannot write --csv " + csv_path);
+    if (!out) tools::fail("cannot write --csv " + csv_path);
     out << result.report_csv;
   }
   if (!result.series_report.empty()) {
@@ -260,7 +186,7 @@ int main(int argc, char** argv) {
       series_out_path = spec.series_dir + "/merged_bands.csv";
     }
     std::ofstream out(series_out_path, std::ios::trunc);
-    if (!out) die("cannot write --series-out " + series_out_path);
+    if (!out) tools::fail("cannot write --series-out " + series_out_path);
     out << result.series_report;
   }
   std::fprintf(stderr,
