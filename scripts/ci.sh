@@ -10,54 +10,32 @@ cmake --build build
 ctest --test-dir build --output-on-failure
 
 for b in build/bench/*; do
-  # perf_substrates is wall-clock timing, not a figure; it gets its own
-  # gated smoke step below.
-  [ "$(basename "$b")" = perf_substrates ] && continue
   echo "== bench: $(basename "$b")"
   "$b" > /dev/null
 done
 
-echo "== perf smoke (regression gate vs committed baseline)"
-# Fails on indexed/linear or repeat-seed divergence (exit 2) or when a gated
-# scenario — the 200-node chaos soak, the windowed migration drain
-# (migrate_windowed_ms), the coded chaos leg, or the 2-sink retrieval drain
-# (retrieval_drain_2_ms) — regresses more than 25% against the committed
-# trajectory point (exit 3). Writes the quick-mode numbers next to the
-# committed full-mode trajectory point, never over it (only
-# scripts/run_bench.sh updates that).
-./build/bench/perf_substrates --quick \
-  --out results/BENCH_sim.ci.json \
-  --baseline results/BENCH_sim.json \
-  --max-regress 0.25
-
 if command -v python3 >/dev/null 2>&1; then
-  echo "== trace-disabled overhead + profiler attribution checks"
-  # The gated chaos_200 timing run executes with tracing fully disabled, so
-  # its wall clock vs the committed baseline bounds the cost of the dormant
-  # instrumentation branches: a tighter 5% budget on top of the 25% gate.
-  python3 - <<'EOF'
+  echo "== perfbench correctness smoke"
+  # The benchmark of record (perfbench/, BENCHMARK.json) checks world 0 of
+  # each workload bit for bit against the canned runner it mirrors. A
+  # one-second run of each workload must report correct == true and no
+  # failed world. Timings are not gated here: perfbench compares them on
+  # paired runs of old and new code, never against a committed number.
+  for w in indoor outdoor chaos_drain; do
+    python3 perfbench/run.py --workload "$w" --seconds 1 --trace 0 \
+      > "build/perfbench_$w.out"
+    python3 - "$w" <<'EOF'
 import json, sys
-ci = json.load(open("results/BENCH_sim.ci.json"))["results"]
-base = json.load(open("results/BENCH_sim.json"))["results"]
-now, ref = ci["chaos_200_ms"], base["chaos_200_ms"]
-print(f"trace-disabled chaos_200: {now:.1f} ms vs baseline {ref:.1f} ms")
-if ref > 0 and now > ref * 1.05:
-    sys.exit(f"FAIL: trace-disabled chaos_200 overhead {now/ref-1:.1%} > 5%")
-pct = sum(v for k, v in ci.items()
-          if k.startswith("prof_chaos_200_") and k.endswith("_pct"))
-print(f"profiler attribution sum: {pct:.2f}%")
-if not 95.0 <= pct <= 105.0:
-    sys.exit(f"FAIL: profiler attribution sums to {pct:.2f}%, not ~100%")
-# Budget gate for the batched delivery fan-out: channel_delivery sat at
-# ~35% of run-loop self time before the flattening; keep it from creeping
-# back toward the scalar-path cost profile.
-deliv = ci.get("prof_chaos_200_channel_delivery_pct")
-print(f"channel_delivery attribution: {deliv:.2f}% (budget 25%)")
-if deliv is None or deliv > 25.0:
-    sys.exit(f"FAIL: channel_delivery at {deliv}% of chaos_200, budget 25%")
+w = sys.argv[1]
+r = json.loads(open(f"build/perfbench_{w}.out").read().splitlines()[-1])
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit(f"FAIL: perfbench {w}: correct={r.get('correct')} "
+             f"failed={r.get('failed')} of {r.get('attempted')}")
+print(f"perfbench {w} OK: {r['attempted']} worlds, all correct")
 EOF
+  done
 else
-  echo "== python3 not found; skipping overhead/attribution checks"
+  echo "== python3 not found; skipping the perfbench smoke"
 fi
 
 for e in build/examples/*; do
@@ -225,8 +203,7 @@ echo "== telemetry series smoke"
 # Series-enabled chaos run: the telemetry plane lands as a columnar CSV
 # whose rows all match the header arity and whose timestamps are strictly
 # monotone; an unreachable health probe must not trip (nonzero exit if it
-# does). The telemetry-off cost is already bounded by the chaos_200 gates
-# above — the series recorder is dark in every timed run.
+# does).
 ./build/tools/enviromic_cli --faults crash=0.3,downtime=60,burst=1 \
   --horizon 600 --seed 5 --log-level off \
   --series build/series_smoke.csv --series-interval 5 \

@@ -181,6 +181,13 @@ TEST(Determinism, TracingAndProfilingDoNotPerturbSeededChaosRuns) {
   EXPECT_GT(samples, 0u);
   EXPECT_TRUE(b.profiled);
   EXPECT_GT(b.profile.fires, 0u);
+  // Attribution covers the run once: the per-tag self times plus "other"
+  // sum to the profiled total. Report clamps "other" at zero, so only
+  // self time counted twice can push the sum off 100%.
+  double pct = 0.0;
+  for (const auto& line : b.profile.lines) pct += line.pct;
+  EXPECT_GE(pct, 95.0);
+  EXPECT_LE(pct, 105.0);
 }
 
 TEST(Determinism, TelemetrySamplingDoesNotPerturbSeededChaosRuns) {

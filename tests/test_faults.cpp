@@ -657,6 +657,7 @@ TEST(CodedFaults, DrainDecodesDespiteCrashedHolderAndAccountsPartials) {
 TEST(CodedFaults, CodedChaosInvariantsHoldAndBeatMigrationOnSurvival) {
   // The acceptance campaign in miniature: same seeded permanent-death storm,
   // migrate vs coded. Coded must keep strictly more payloads reconstructible.
+  // A replicated-recording leg rides along for its invariants only.
   ChaosRunConfig cfg;
   cfg.seed = 424;
   cfg.horizon = sim::Time::seconds_i(900);
@@ -670,10 +671,14 @@ TEST(CodedFaults, CodedChaosInvariantsHoldAndBeatMigrationOnSurvival) {
   coded.coded_k = 2;
   coded.coded_n = 4;
 
+  ChaosRunConfig replicated = cfg;
+  replicated.recording_replicas = 2;
+
   const auto plain = run_chaos(cfg);
   const auto with_code = run_chaos(coded);
   EXPECT_TRUE(plain.invariants_hold());
   EXPECT_TRUE(with_code.invariants_hold());
+  EXPECT_TRUE(run_chaos(replicated).invariants_hold());
   EXPECT_GT(with_code.coded.chunks_coded, 0u);
   EXPECT_GT(with_code.payloads_reconstructible,
             plain.payloads_reconstructible);

@@ -290,5 +290,33 @@ TEST(TreeRetrieval, MultiSinkChaosDrainIsAccountedAndDeterministic) {
   EXPECT_EQ(r.executed_events, r3.executed_events);
 }
 
+TEST(TreeRetrieval, OneAndFourSinkChaosDrainsCollectThroughRelays) {
+  // The 200-node field under the standard storm, drained through a 300 s
+  // tail from one corner sink and from all four. Either drain must keep the
+  // chaos invariants, collect chunks, and route some of them through relays.
+  for (const int sinks : {1, 4}) {
+    SCOPED_TRACE(sinks);
+    core::ChaosRunConfig cfg;
+    cfg.seed = 7;
+    cfg.grid_nx = 20;
+    cfg.grid_ny = 10;
+    cfg.horizon = sim::Time::seconds_i(300);
+    cfg.grace = sim::Time::seconds_i(300);
+    cfg.faults.crash_probability = 0.3;
+    cfg.faults.downtime_mean = sim::Time::seconds_i(45);
+    cfg.faults.brownout_probability = 0.2;
+    cfg.burst.enabled = true;
+    cfg.link_asymmetry_max = 0.1;
+    cfg.flight_recorder = false;
+    cfg.payload_census = false;
+    cfg.drain_sinks = sinks;
+    cfg.drain_hops = 30;  // corner to corner on the 20x10 grid
+    const auto r = core::run_chaos(cfg);
+    EXPECT_TRUE(r.invariants_hold());
+    EXPECT_GT(r.retrieval_collected, 0u);
+    EXPECT_GT(r.final_snapshot.retrieval_chunks_relayed, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace enviromic::core
