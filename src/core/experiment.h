@@ -48,6 +48,14 @@ struct IndoorRunResult {
   int grid_ny = 0;
 };
 
+/// The indoor world in two steps, so a caller can adjust node parameters in
+/// between: the world config (paper node defaults for `mode`/`beta_max`,
+/// flash scaled by `flash_scale`, the balance strategy), then the grid and
+/// the event plan (default generators, drawn from the world's "plan" fork).
+/// run_indoor is these two steps plus the sampling loop.
+WorldConfig indoor_world_config(const IndoorRunConfig& cfg);
+IndoorEventPlan plant_indoor(World& world, const IndoorRunConfig& cfg);
+
 IndoorRunResult run_indoor(const IndoorRunConfig& cfg);
 
 // --- Mobile-target experiment (Figs 6, 7) ------------------------------------
